@@ -18,11 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import Catalog
-from .likelihood import (
-    catalog_arrays,
-    _nllh_aggregate_arrays,
-    _nllh_regression_arrays,
-)
+from .likelihood import _Kernel, catalog_arrays
 
 __all__ = [
     "PriorSpec",
@@ -39,6 +35,7 @@ __all__ = [
     "load_chain",
 ]
 
+SCHEMA = "domecast/v1"
 RNG_ALGORITHM = "numpy-pcg64"
 ADAPT_WINDOW = 500
 ADAPT_FACTOR = 1.5
@@ -47,6 +44,7 @@ ACCEPT_HI = 0.5
 
 AGGREGATE_PARAMS = ("alpha", "beta")
 REGRESSION_PARAMS = ("alpha", "beta", "gamma_alpha", "gamma_beta")
+PARAMS = {"aggregate": AGGREGATE_PARAMS, "regression": REGRESSION_PARAMS}
 
 
 class ImproperPosteriorError(ValueError):
@@ -152,33 +150,23 @@ def _make_log_target(model_kind: str, catalog: Catalog, prior: PriorSpec):
     """
     if model_kind == "aggregate":
         t, delta, _ = catalog_arrays(catalog)
+        kernel = _Kernel(t, delta)
+    elif model_kind == "regression":
+        kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
+    else:
+        raise ValueError(f"unknown model_kind {model_kind!r}")
 
-        def log_target(z):
-            la, lb = z
-            alpha, beta = math.exp(la), math.exp(lb)
-            return (
-                -_nllh_aggregate_arrays(t, delta, alpha, beta)
-                + prior.log_density(alpha, beta)
-                + la
-                + lb
-            )
+    def log_target(z):
+        la, lb, *gammas = z
+        alpha, beta = math.exp(la), math.exp(lb)
+        return (
+            -kernel.nllh(alpha, beta, *gammas)
+            + prior.log_density(alpha, beta)
+            + la
+            + lb
+        )
 
-        return log_target, AGGREGATE_PARAMS
-    if model_kind == "regression":
-        t, delta, x = catalog_arrays(catalog, require_silica=True)
-
-        def log_target(z):
-            la, lb, ga, gb = z
-            alpha, beta = math.exp(la), math.exp(lb)
-            return (
-                -_nllh_regression_arrays(t, delta, x, alpha, beta, ga, gb)
-                + prior.log_density(alpha, beta)
-                + la
-                + lb
-            )
-
-        return log_target, REGRESSION_PARAMS
-    raise ValueError(f"unknown model_kind {model_kind!r}")
+    return log_target, PARAMS[model_kind]
 
 
 def log_posterior(
@@ -339,7 +327,7 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
     header = ",".join(chain.param_names)
     np.savetxt(csv_path, chain.draws, delimiter=",", header=header, comments="")
     meta = {
-        "schema": "domecast/v1",
+        "schema": SCHEMA,
         "model_kind": chain.model_kind,
         "acceptance_rate": chain.acceptance_rate,
         "rng_algorithm": chain.rng_algorithm,
@@ -353,10 +341,25 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
 
 
 def load_chain(csv_path, meta_path) -> PosteriorChain:
+    """Read a chain written by ``save_chain``.  Raises ValueError naming
+    the file when the sidecar's schema is not domecast/v1 or the CSV
+    header is not the parameter list of the sidecar's model_kind."""
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if meta.get("schema") != SCHEMA:
+        raise ValueError(
+            f"{meta_path}: schema {meta.get('schema')!r}, expected {SCHEMA!r}"
+        )
+    kind = meta.get("model_kind")
+    if kind not in PARAMS:
+        raise ValueError(f"{meta_path}: unknown model_kind {kind!r}")
     with open(csv_path) as fh:
         names = tuple(fh.readline().strip().split(","))
+    if names != PARAMS[kind]:
+        raise ValueError(
+            f"{csv_path}: header {','.join(names)!r} does not match the "
+            f"{kind} model's parameters {','.join(PARAMS[kind])!r}"
+        )
     draws = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     cfg = meta["config"]
     return PosteriorChain(
@@ -372,7 +375,7 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
             if cfg.get("proposal_scales") is None
             else tuple(cfg["proposal_scales"]),
         ),
-        model_kind=meta["model_kind"],
+        model_kind=kind,
         prior=PriorSpec(**meta["prior"]),
         rng_algorithm=meta.get("rng_algorithm", RNG_ALGORITHM),
     )

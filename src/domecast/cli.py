@@ -9,6 +9,7 @@ atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,11 +19,17 @@ from typing import Optional
 import numpy as np
 
 from . import bayes, fit, forecast, gof, simulate
-from .catalog import Catalog, CatalogError, CompositionClass, parse_catalog, summarize
+from .catalog import (
+    Catalog,
+    CatalogError,
+    CompositionClass,
+    parse_catalog,
+    serialize_catalog,
+    summarize,
+)
 from .likelihood import RegressionParams
 from .pareto import ExpParams, GPaParams, exp_quantile, quantile, survival
 
-SCHEMA = "domecast/v1"
 DAYS_PER_YEAR = 365.25
 
 EXIT_OK = 0
@@ -56,7 +63,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    doc = {"schema": SCHEMA, **doc}
+    doc = {"schema": bayes.SCHEMA, **doc}
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -67,18 +74,9 @@ def _load_catalog(path: str, days: bool = False) -> Catalog:
     except OSError as exc:
         raise DataError(f"cannot read catalog {path!r}: {exc}") from exc
     if days:
-        from .catalog import EruptionRecord
-
         cat = Catalog(
             tuple(
-                EruptionRecord(
-                    r.volcano_name,
-                    r.start_year,
-                    r.duration / DAYS_PER_YEAR,
-                    r.censored,
-                    r.composition_class,
-                    r.silica_pct,
-                )
+                dataclasses.replace(r, duration=r.duration / DAYS_PER_YEAR)
                 for r in cat.records
             ),
             cat.as_of_date,
@@ -277,8 +275,6 @@ def _sim_spec_from_args(args) -> simulate.SimSpec:
 
 
 def cmd_simulate(args) -> int:
-    from .catalog import serialize_catalog
-
     spec = _sim_spec_from_args(args)
     cat = simulate.generate(spec)
     _atomic_write(os.path.join(args.out, "catalog.csv"), serialize_catalog(cat))
@@ -315,7 +311,8 @@ def cmd_empirical(args) -> int:
         kind = doc.get("model_kind")
         curve_lines = ["t,survival"]
         seg_lines = ["volcano,class,age_s,median_shift"]
-        t_grid = np.logspace(-3, math_log10_max(cat), 200)
+        t_max = max(r.duration for r in cat.records)
+        t_grid = np.logspace(-3, np.log10(2 * t_max), 200)
 
         def params_for(record):
             if kind == "regression":
@@ -359,12 +356,6 @@ def cmd_empirical(args) -> int:
         },
     )
     return EXIT_OK
-
-
-def math_log10_max(cat: Catalog) -> float:
-    import math
-
-    return math.log10(max(r.duration for r in cat.records) * 2)
 
 
 def build_parser() -> _Parser:

@@ -3,34 +3,23 @@
 The two-parameter fit profiles alpha out and searches beta on a log scale;
 the regression fit profiles alpha and runs a derivative-free simplex over
 (log beta, gamma_alpha, gamma_beta) from several starts.  Standard errors
-come from a central-difference Hessian on the working (log-positive)
-scale, mapped back by the delta method.
+of the Pareto-family fits come from a central-difference Hessian on the
+working (log-positive) scale, mapped back by the delta method; the
+exponential fit's are closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .catalog import Catalog, CompositionClass
-from .likelihood import (
-    RegressionParams,
-    catalog_arrays,
-    nllh_aggregate,
-    nllh_exponential,
-    nllh_regression,
-    profile_alpha,
-    profile_alpha_regression,
-    _nllh_aggregate_arrays,
-    _nllh_regression_arrays,
-    _profile_alpha_arrays,
-    _profile_alpha_regression_arrays,
-)
-from .pareto import ExpParams, GPaParams
+from .likelihood import _Kernel, catalog_arrays, nllh_exponential
+from .pareto import ExpParams
 
 __all__ = [
     "FitError",
@@ -181,12 +170,12 @@ def standard_errors(
     return np.where(log_scale, theta_hat * se_z, se_z)
 
 
-def _se_or_none(nllh_fn, theta_hat, log_scale, names, notes):
+def _se_or_none(nllh_fn, theta_hat, log_scale, names):
     try:
         se = standard_errors(nllh_fn, theta_hat, log_scale)
-        return dict(zip(names, (float(v) for v in se))), notes
+        return dict(zip(names, (float(v) for v in se))), ()
     except HessianError as exc:
-        return None, notes + (str(exc),)
+        return None, (str(exc),)
 
 
 def fit_aggregate(catalog: Catalog) -> FitResult:
@@ -196,7 +185,8 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
     audit grid, with alpha profiled out in closed form.
     """
     t, delta, _ = catalog_arrays(catalog)
-    n1 = int(delta.sum())
+    kernel = _Kernel(t, delta)
+    n1 = int(kernel.n1)
     if n1 < 2:
         raise FitError(f"aggregate fit needs at least 2 uncensored records, got {n1}")
 
@@ -205,9 +195,7 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
     def objective(log_beta: float) -> float:
         nonlocal evals
         evals += 1
-        beta = math.exp(log_beta)
-        alpha = _profile_alpha_arrays(t, delta, beta)
-        return _nllh_aggregate_arrays(t, delta, alpha, beta)
+        return kernel.profile(math.exp(log_beta))[1]
 
     grid = np.linspace(LOG_BETA_LO, LOG_BETA_HI, BETA_GRID_POINTS)
     vals = [objective(g) for g in grid]
@@ -219,18 +207,14 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
     )
     if not res.success:
         raise FitError(f"beta search failed: {res.message}")
-    log_beta = float(res.x)
-    beta = math.exp(log_beta)
-    alpha = _profile_alpha_arrays(t, delta, beta)
-    nllh = _nllh_aggregate_arrays(t, delta, alpha, beta)
+    beta = math.exp(float(res.x))
+    alpha, nllh = kernel.profile(beta)
 
     se, notes = _se_or_none(
-        lambda th: _nllh_aggregate_arrays(t, delta, th[0], th[1]),
-        [alpha, beta],
-        [True, True],
-        ["alpha", "beta"],
-        (),
+        lambda th: kernel.nllh(*th), [alpha, beta], [True, True], ["alpha", "beta"]
     )
+    if i_best in (0, len(grid) - 1):
+        notes += (_boundary_note(i_best == 0, math.exp(grid[i_best])),)
     return FitResult(
         model_kind="aggregate",
         estimates={"alpha": alpha, "beta": beta},
@@ -245,32 +229,38 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
     )
 
 
+def _boundary_note(lower: bool, bound: float) -> str:
+    if lower:
+        return (
+            f"beta at the lower search bound {bound:g}: no interior likelihood "
+            "maximum was found; the estimates are boundary values"
+        )
+    return (
+        f"beta at the upper search bound {bound:g}: the likelihood still rises "
+        "toward the exponential limit (beta -> inf with alpha/beta fixed); "
+        "compare fit_exponential"
+    )
+
+
 def fit_exponential(catalog: Catalog) -> FitResult:
-    """Closed-form censored exponential fit: lambda = n1 / sum t_i."""
+    """Closed-form censored exponential fit: lambda = n1 / sum t_i, with
+    SE = lambda / sqrt(n1) from the observed information n1 / lambda^2."""
     t, delta, _ = catalog_arrays(catalog)
     n1 = int(delta.sum())
     if n1 < 1:
         raise FitError("exponential fit needs at least 1 uncensored record")
-    lam = n1 / math.fsum(t.tolist())
+    lam = n1 / float(t.sum())
     nllh = nllh_exponential(catalog, ExpParams(lam))
-    se, notes = _se_or_none(
-        lambda th: nllh_exponential(catalog, ExpParams(th[0])),
-        [lam],
-        [True],
-        ["lambda"],
-        (),
-    )
     return FitResult(
         model_kind="exponential",
         estimates={"lambda": lam},
-        standard_errors=se,
+        standard_errors={"lambda": lam / math.sqrt(n1)},
         nllh_at_mle=nllh,
         n=catalog.n,
         n1=n1,
         k=1,
         converged=True,
         iterations=0,
-        notes=notes,
     )
 
 
@@ -291,17 +281,8 @@ def fit_grouped(
         kind = "grouped-exponential"
     else:
         raise ValueError(f"unknown family {family!r}")
-    return FitResult(
-        model_kind=kind,
-        estimates=result.estimates,
-        standard_errors=result.standard_errors,
-        nllh_at_mle=result.nllh_at_mle,
-        n=result.n,
-        n1=result.n1,
-        k=result.k,
-        converged=result.converged,
-        iterations=result.iterations,
-        notes=result.notes + (f"class={comp_class.value}",),
+    return replace(
+        result, model_kind=kind, notes=result.notes + (f"class={comp_class.value}",)
     )
 
 
@@ -313,8 +294,8 @@ def fit_regression(catalog: Catalog) -> FitResult:
     aggregate solution at zero gammas, so the fitted NLLH never exceeds
     the aggregate fit's (the models are nested).
     """
-    t, delta, x = catalog_arrays(catalog, require_silica=True)
-    n1 = int(delta.sum())
+    kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
+    n1 = int(kernel.n1)
     if n1 < 4:
         raise FitError(f"regression fit needs at least 4 uncensored records, got {n1}")
 
@@ -322,9 +303,7 @@ def fit_regression(catalog: Catalog) -> FitResult:
         log_beta, ga, gb = v
         if abs(ga) > 5 or abs(gb) > 5 or not (LOG_BETA_LO <= log_beta <= LOG_BETA_HI):
             return 1e12
-        beta = math.exp(log_beta)
-        alpha = _profile_alpha_regression_arrays(t, delta, x, beta, ga, gb)
-        return _nllh_regression_arrays(t, delta, x, alpha, beta, ga, gb)
+        return kernel.profile(math.exp(log_beta), ga, gb)[1]
 
     agg = fit_aggregate(catalog)
     starts = [
@@ -359,17 +338,15 @@ def fit_regression(catalog: Catalog) -> FitResult:
 
     log_beta, ga, gb = best.x
     beta = math.exp(log_beta)
-    alpha = _profile_alpha_regression_arrays(t, delta, x, beta, ga, gb)
-    nllh = _nllh_regression_arrays(t, delta, x, alpha, beta, ga, gb)
+    alpha, nllh = kernel.profile(beta, ga, gb)
     if not any_success:
         raise FitError("regression optimizer did not converge from any start")
 
     se, notes = _se_or_none(
-        lambda th: _nllh_regression_arrays(t, delta, x, th[0], th[1], th[2], th[3]),
+        lambda th: kernel.nllh(*th),
         [alpha, beta, ga, gb],
         [True, True, False, False],
         ["alpha", "beta", "gamma_alpha", "gamma_beta"],
-        (),
     )
     return FitResult(
         model_kind="regression",

@@ -7,8 +7,7 @@ survival factor.  For the two-parameter model
 
 with delta_i = 1 uncensored, 0 censored.  The regression variant replaces
 (alpha, beta) with per-record log-linear functions of silica centered at
-60 percent.  Accumulation uses math.fsum (compensated) since terms span
-several orders of magnitude.
+60 percent.
 """
 
 from __future__ import annotations
@@ -88,45 +87,74 @@ def catalog_arrays(catalog: Catalog, require_silica: bool = False):
     return t, delta, x
 
 
+class _Kernel:
+    """Both GPa likelihoods as functions of two array sums.
+
+    With dx_i = x_i - 60, b_i = beta exp(gamma_beta dx_i),
+    w_i = exp(gamma_alpha dx_i) and L_i = log(1 + t_i/b_i), the data
+    enter only through S = sum_i w_i L_i and U = sum_i delta_i L_i:
+
+        nllh = alpha S + U + n1 log(beta/alpha)
+               + (gamma_beta - gamma_alpha) sum_i delta_i dx_i
+
+    and the profile MLE of alpha is n1/S.  Without x (the aggregate
+    model) w_i = 1 and b_i = beta, and silica is never read.
+    """
+
+    __slots__ = ("t", "delta", "dx", "n1", "delta_dx")
+
+    def __init__(self, t, delta, x=None):
+        self.t = t
+        self.delta = delta
+        self.dx = None if x is None else x - SILICA_CENTER
+        self.n1 = float(delta.sum())
+        self.delta_dx = 0.0 if x is None else float(delta @ self.dx)
+
+    def sums(self, beta, gamma_alpha=0.0, gamma_beta=0.0) -> tuple[float, float]:
+        if self.dx is None:
+            b, w = beta, None
+        else:
+            b, w = beta * np.exp(gamma_beta * self.dx), np.exp(gamma_alpha * self.dx)
+        L = np.log1p(self.t / b)
+        return float(L.sum() if w is None else w @ L), float(self.delta @ L)
+
+    def nllh(self, alpha, beta, gamma_alpha=0.0, gamma_beta=0.0) -> float:
+        S, U = self.sums(beta, gamma_alpha, gamma_beta)
+        return self._nllh(S, U, alpha, beta, gamma_alpha, gamma_beta)
+
+    def profile(self, beta, gamma_alpha=0.0, gamma_beta=0.0) -> tuple[float, float]:
+        """(alpha_hat, nllh at alpha_hat) at fixed beta and gammas."""
+        if self.n1 < 1:
+            raise ValueError(
+                "profile MLE for alpha needs at least one uncensored record"
+            )
+        S, U = self.sums(beta, gamma_alpha, gamma_beta)
+        alpha = self.n1 / S
+        return alpha, self._nllh(S, U, alpha, beta, gamma_alpha, gamma_beta)
+
+    def _nllh(self, S, U, alpha, beta, gamma_alpha, gamma_beta) -> float:
+        return (
+            alpha * S
+            + U
+            + self.n1 * math.log(beta / alpha)
+            + (gamma_beta - gamma_alpha) * self.delta_dx
+        )
+
+
 def nllh_aggregate(catalog: Catalog, p: GPaParams) -> float:
     t, delta, _ = catalog_arrays(catalog)
-    return _nllh_aggregate_arrays(t, delta, p.alpha, p.beta)
-
-
-def _nllh_aggregate_arrays(t, delta, alpha: float, beta: float) -> float:
-    terms = (alpha + delta) * np.log1p(t / beta)
-    n1 = float(delta.sum())
-    return math.fsum(terms.tolist()) + n1 * math.log(beta / alpha)
+    return _Kernel(t, delta).nllh(p.alpha, p.beta)
 
 
 def profile_alpha(catalog: Catalog, beta: float) -> float:
     """Conditional MLE for alpha at fixed beta: n1 / sum log(1 + t_i/beta)."""
     t, delta, _ = catalog_arrays(catalog)
-    return _profile_alpha_arrays(t, delta, beta)
-
-
-def _profile_alpha_arrays(t, delta, beta: float) -> float:
-    n1 = float(delta.sum())
-    if n1 < 1:
-        raise ValueError("profile MLE for alpha needs at least one uncensored record")
-    denom = math.fsum(np.log1p(t / beta).tolist())
-    return n1 / denom
+    return _Kernel(t, delta).profile(beta)[0]
 
 
 def nllh_regression(catalog: Catalog, p: RegressionParams) -> float:
-    t, delta, x = catalog_arrays(catalog, require_silica=True)
-    return _nllh_regression_arrays(
-        t, delta, x, p.alpha, p.beta, p.gamma_alpha, p.gamma_beta
-    )
-
-
-def _nllh_regression_arrays(t, delta, x, alpha, beta, gamma_alpha, gamma_beta):
-    dx = x - SILICA_CENTER
-    log_ai = math.log(alpha) + gamma_alpha * dx
-    log_bi = math.log(beta) + gamma_beta * dx
-    ai = np.exp(log_ai)
-    terms = (ai + delta) * np.log1p(t * np.exp(-log_bi)) + delta * (log_bi - log_ai)
-    return math.fsum(terms.tolist())
+    kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
+    return kernel.nllh(p.alpha, p.beta, p.gamma_alpha, p.gamma_beta)
 
 
 def profile_alpha_regression(
@@ -137,23 +165,11 @@ def profile_alpha_regression(
 
         n1 / sum_i exp(gamma_alpha (x_i-60)) log(1 + t_i exp(-gamma_beta (x_i-60))/beta)
     """
-    t, delta, x = catalog_arrays(catalog, require_silica=True)
-    return _profile_alpha_regression_arrays(t, delta, x, beta, gamma_alpha, gamma_beta)
-
-
-def _profile_alpha_regression_arrays(t, delta, x, beta, gamma_alpha, gamma_beta):
-    n1 = float(delta.sum())
-    if n1 < 1:
-        raise ValueError("profile MLE for alpha needs at least one uncensored record")
-    dx = x - SILICA_CENTER
-    denom = math.fsum(
-        (np.exp(gamma_alpha * dx) * np.log1p(t * np.exp(-gamma_beta * dx) / beta)).tolist()
-    )
-    return n1 / denom
+    kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
+    return kernel.profile(beta, gamma_alpha, gamma_beta)[0]
 
 
 def nllh_exponential(catalog: Catalog, p: ExpParams) -> float:
     """Censored exponential: lambda * sum t_i - n1 * log lambda."""
     t, delta, _ = catalog_arrays(catalog)
-    n1 = float(delta.sum())
-    return p.lam * math.fsum(t.tolist()) - n1 * math.log(p.lam)
+    return p.lam * float(t.sum()) - float(delta.sum()) * math.log(p.lam)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -217,3 +218,29 @@ def test_regression_chain_runs(silica_catalog):
     assert chain.param_names == ("alpha", "beta", "gamma_alpha", "gamma_beta")
     assert chain.n_draws == 200
     assert np.all(chain.draws[:, :2] > 0)
+
+
+def _saved_chain(tmp_path, chain, **meta_changes):
+    csv_path = tmp_path / "chain.csv"
+    meta_path = tmp_path / "chain_meta.json"
+    save_chain(chain, csv_path, meta_path)
+    meta = json.loads(meta_path.read_text())
+    meta.update(meta_changes)
+    meta_path.write_text(json.dumps(meta))
+    return csv_path, meta_path
+
+
+def test_load_chain_rejects_header_of_another_model(tmp_path, short_chain):
+    # an aggregate chain (alpha,beta) whose sidecar claims the regression model
+    paths = _saved_chain(tmp_path, short_chain, model_kind="regression")
+    with pytest.raises(ValueError, match=r"chain\.csv.*does not match the regression"):
+        load_chain(*paths)
+
+
+def test_load_chain_rejects_unknown_schema(tmp_path, short_chain):
+    paths = _saved_chain(tmp_path, short_chain, schema="domecast/v0")
+    with pytest.raises(ValueError, match=r"chain_meta\.json.*domecast/v0"):
+        load_chain(*paths)
+    paths = _saved_chain(tmp_path, short_chain, schema=None)
+    with pytest.raises(ValueError, match=r"chain_meta\.json.*schema"):
+        load_chain(*paths)

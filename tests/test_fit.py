@@ -24,7 +24,7 @@ from domecast.likelihood import (
     nllh_aggregate,
     profile_alpha,
 )
-from domecast.pareto import GPaParams
+from domecast.pareto import ExpParams, GPaParams
 from domecast.simulate import SimSpec, generate
 
 
@@ -92,6 +92,21 @@ def test_fit_exponential_closed_form():
     assert r.standard_errors["lambda"] == pytest.approx(
         r.estimates["lambda"] / math.sqrt(cat.n1), rel=0.01
     )
+
+
+def test_fit_aggregate_flags_beta_search_bounds(synthetic_gpa):
+    assert fit_aggregate(synthetic_gpa).notes == ()
+    # Exponential data: the profile likelihood keeps rising toward beta -> inf.
+    upper = fit_aggregate(generate(SimSpec(ExpParams(0.5), n=2000, seed=1)))
+    assert upper.estimates["beta"] == pytest.approx(1e4, rel=1e-3)
+    assert len(upper.notes) == 1
+    assert "upper search bound 10000" in upper.notes[0]
+    assert "exponential" in upper.notes[0]
+    # A scale far below the grid: the optimum sits at the lower bound.
+    lower = fit_aggregate(generate(SimSpec(GPaParams(0.3, 1e-7), n=500, seed=1)))
+    assert lower.estimates["beta"] == pytest.approx(1e-4, rel=1e-3)
+    assert len(lower.notes) == 1
+    assert "lower search bound 0.0001" in lower.notes[0]
 
 
 def test_fit_grouped_classes(silica_catalog):
