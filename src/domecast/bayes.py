@@ -1,11 +1,18 @@
-"""Objective-Bayes inference via random-walk Metropolis-Hastings.
+"""Objective-Bayes inference by a collapsed Metropolis-within-Gibbs sampler.
 
 Reference priors are the improper scale-invariant 1/alpha and 1/beta
 (Gamma hyperparameters a=b=c=d=0); the silica coefficients get flat
-priors.  Proposals walk on (log alpha, log beta, gamma_alpha, gamma_beta)
-with the log-transform Jacobian folded into the acceptance ratio.
-Proposal scales adapt toward a 0.2-0.5 acceptance window during burn-in
-only, then freeze, so the recorded chain targets the exact posterior.
+priors.  Under any Gamma prior, alpha given the rest is exactly
+Gamma(a + n1, b + S), with S the kernel's weighted sum, so alpha is
+integrated out of the target (Liu 1994, JASA 89:958) and a random walk
+moves only y = (log beta[, gamma_alpha, gamma_beta]), the log-beta
+Jacobian folded into the target.  During burn-in a scalar step factor
+adapts toward a 0.2-0.5 acceptance window; for the three regression
+coordinates the proposal's Cholesky factor is also set from the
+covariance of the later half of the burn-in so far, scaled by
+2.38/sqrt(3) (Haario, Saksman & Tamminen 2001, Bernoulli 7(2)).  The
+proposal then freezes, so the recorded chain is exact Metropolis on the
+marginal of y, and each recorded state gets an exact alpha draw.
 """
 
 from __future__ import annotations
@@ -45,6 +52,13 @@ ACCEPT_HI = 0.5
 AGGREGATE_PARAMS = ("alpha", "beta")
 REGRESSION_PARAMS = ("alpha", "beta", "gamma_alpha", "gamma_beta")
 PARAMS = {"aggregate": AGGREGATE_PARAMS, "regression": REGRESSION_PARAMS}
+# The random walk's coordinates; alpha is drawn from its exact conditional.
+WALKED = {
+    "aggregate": ("log_beta",),
+    "regression": ("log_beta", "gamma_alpha", "gamma_beta"),
+}
+SAVE_BLOCK_ROWS = 1000
+HAARIO_SCALE = 2.38  # adapted proposal = HAARIO_SCALE / sqrt(k) * chol(cov)
 
 
 class ImproperPosteriorError(ValueError):
@@ -132,6 +146,8 @@ class PosteriorChain:
     model_kind: str
     prior: PriorSpec = field(default_factory=PriorSpec)
     rng_algorithm: str = RNG_ALGORITHM
+    # Frozen proposal: lower Cholesky factor over WALKED[model_kind].
+    proposal_cholesky: Optional[np.ndarray] = None
 
     @property
     def n_draws(self) -> int:
@@ -141,32 +157,13 @@ class PosteriorChain:
         return self.draws[:, self.param_names.index(name)]
 
 
-def _make_log_target(model_kind: str, catalog: Catalog, prior: PriorSpec):
-    """Return (log_target_on_working_scale, param_names).
-
-    Working coordinates are log alpha, log beta (plus the gammas on their
-    natural scale for the regression model); the log-transform Jacobian
-    exp(la) * exp(lb) is included here.
-    """
+def _kernel(model_kind: str, catalog: Catalog) -> _Kernel:
     if model_kind == "aggregate":
         t, delta, _ = catalog_arrays(catalog)
-        kernel = _Kernel(t, delta)
-    elif model_kind == "regression":
-        kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
-    else:
-        raise ValueError(f"unknown model_kind {model_kind!r}")
-
-    def log_target(z):
-        la, lb, *gammas = z
-        alpha, beta = math.exp(la), math.exp(lb)
-        return (
-            -kernel.nllh(alpha, beta, *gammas)
-            + prior.log_density(alpha, beta)
-            + la
-            + lb
-        )
-
-    return log_target, PARAMS[model_kind]
+        return _Kernel(t, delta)
+    if model_kind == "regression":
+        return _Kernel(*catalog_arrays(catalog, require_silica=True))
+    raise ValueError(f"unknown model_kind {model_kind!r}")
 
 
 def log_posterior(
@@ -177,14 +174,44 @@ def log_posterior(
     theta = np.asarray(theta, dtype=float)
     if theta[0] <= 0 or theta[1] <= 0:
         raise ValueError("alpha and beta must be > 0")
-    log_target, names = _make_log_target(model_kind, catalog, prior)
-    if len(theta) != len(names):
-        raise ValueError(f"expected {len(names)} parameters for {model_kind}")
-    z = theta.copy()
-    z[0] = math.log(theta[0])
-    z[1] = math.log(theta[1])
-    # Remove the working-scale Jacobian to get the natural-scale density.
-    return log_target(z) - z[0] - z[1]
+    kernel = _kernel(model_kind, catalog)
+    if len(theta) != len(PARAMS[model_kind]):
+        raise ValueError(
+            f"expected {len(PARAMS[model_kind])} parameters for {model_kind}"
+        )
+    alpha, beta, *gammas = theta
+    return -kernel.nllh(alpha, beta, *gammas) + prior.log_density(alpha, beta)
+
+
+def _marginal_log_target(kernel: _Kernel, prior: PriorSpec):
+    """Log density of the walked coordinates y = (log beta[, gamma_alpha,
+    gamma_beta]) with alpha integrated out, up to a constant:
+
+        -(a+n1) log(b+S) - U - (gamma_beta - gamma_alpha) sum_i delta_i dx_i
+        + (c - n1) log beta - d beta
+
+    (the log-beta Jacobian included).  Returns (log density, S), since
+    alpha | y ~ Gamma(a + n1, b + S).
+    """
+    shape = prior.a + kernel.n1
+    log_beta_coef = prior.c - kernel.n1
+
+    def log_target(y):
+        log_beta, *gammas = y
+        try:
+            beta = math.exp(log_beta)
+            S, U = kernel.sums(beta, *gammas)
+            log_rate = math.log(prior.b + S)
+        except (OverflowError, ValueError):
+            raise McmcError(
+                f"walk reached log beta = {log_beta:.4g}, gammas = {gammas}, where "
+                "the likelihood overflows; the posterior may be improper"
+            ) from None
+        tilt = (gammas[1] - gammas[0]) * kernel.delta_dx if gammas else 0.0
+        lp = -shape * log_rate - U - tilt + log_beta_coef * log_beta - prior.d * beta
+        return lp, S
+
+    return log_target
 
 
 def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
@@ -192,25 +219,46 @@ def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
     return log_ratio >= 0 or math.log(rng.random()) < log_ratio
 
 
-def _start_point(model_kind: str, catalog: Catalog) -> np.ndarray:
+def _start_point(model_kind: str, catalog: Catalog) -> list[float]:
+    """The MLE of the walked coordinates, or zeros when the fit fails."""
     from . import fit as _fit  # deferred: avoid cycle at import time
 
     try:
         if model_kind == "aggregate":
             r = _fit.fit_aggregate(catalog)
-            return np.log([r.estimates["alpha"], r.estimates["beta"]])
+            return [math.log(r.estimates["beta"])]
         r = _fit.fit_regression(catalog)
-        return np.array(
-            [
-                math.log(r.estimates["alpha"]),
-                math.log(r.estimates["beta"]),
-                r.estimates["gamma_alpha"],
-                r.estimates["gamma_beta"],
-            ]
-        )
+        return [
+            math.log(r.estimates["beta"]),
+            r.estimates["gamma_alpha"],
+            r.estimates["gamma_beta"],
+        ]
     except _fit.FitError:
-        dim = 2 if model_kind == "aggregate" else 4
-        return np.zeros(dim)
+        return [0.0] * len(WALKED[model_kind])
+
+
+def _walk(rng, log_target, state, chol, out, thin=1):
+    """Random-walk Metropolis for ``thin * len(out)`` steps from
+    ``state = (y, log density, S)`` with increments N(0, chol chol^T).
+
+    Every ``thin``-th state is written to a row of ``out`` as (S, *y).
+    Returns the final state and the number of accepted moves.
+    """
+    y, lp, S = state
+    steps = thin * len(out)
+    accepts = 0
+    for start in range(0, steps, ADAPT_WINDOW):
+        m = min(ADAPT_WINDOW, steps - start)
+        increments = (rng.standard_normal((m, len(y))) @ chol.T).tolist()
+        for i, inc in enumerate(increments, start + 1):
+            prop = [a + b for a, b in zip(y, inc)]
+            lp_prop, S_prop = log_target(prop)
+            if metropolis_accept(rng, lp_prop - lp):
+                y, lp, S = prop, lp_prop, S_prop
+                accepts += 1
+            if i % thin == 0:
+                out[i // thin - 1] = (S, *y)
+    return (y, lp, S), accepts
 
 
 def run_mh(
@@ -219,11 +267,14 @@ def run_mh(
     prior: PriorSpec,
     config: McmcConfig,
 ) -> PosteriorChain:
-    """Random-walk Metropolis-Hastings sampler.
+    """Collapsed Metropolis-within-Gibbs sampler.
 
-    Starts from the MLE, adapts proposal scales during burn-in, then
-    records every ``thin``-th post-burn-in state.  Fully deterministic
-    given the seed.
+    Random-walks y = (log beta[, gamma_alpha, gamma_beta]) on the
+    posterior with alpha integrated out, starting from the MLE.  During
+    burn-in the proposal adapts per ``ADAPT_WINDOW`` steps; it is then
+    frozen and every ``thin``-th post-burn-in state is recorded.  Each
+    recorded state gets an exact draw alpha ~ Gamma(a + n1, b + S).
+    Fully deterministic given the seed.
     """
     check = propriety_check(prior, catalog.n1)
     if not check.proper:
@@ -231,64 +282,64 @@ def run_mh(
             f"posterior improper for prior {prior} with n1={catalog.n1}; "
             "need (c > 0 or a + n1 > 1) and (d > 0 or n1 > c)"
         )
-    log_target, names = _make_log_target(model_kind, catalog, prior)
-    dim = len(names)
+    kernel = _kernel(model_kind, catalog)
+    shape = prior.a + kernel.n1
+    if shape <= 0:
+        raise ImproperPosteriorError(
+            f"alpha | rest ~ Gamma(a + n1, b + S) needs a + n1 > 0; "
+            f"got a={prior.a}, n1={catalog.n1}"
+        )
+    coords = WALKED[model_kind]
+    k = len(coords)
+    scales = (0.1,) * k if config.proposal_scales is None else config.proposal_scales
+    if len(scales) != k or min(scales) <= 0:
+        raise ValueError(
+            f"need {k} positive proposal scales, one per walked coordinate "
+            f"({', '.join(coords)})"
+        )
+    log_target = _marginal_log_target(kernel, prior)
     rng = np.random.default_rng(config.seed)
 
-    z = _start_point(model_kind, catalog)
-    lp = log_target(z)
-    scales = np.array(
-        config.proposal_scales
-        if config.proposal_scales is not None
-        else [0.1] * dim,
-        dtype=float,
-    )
-    if len(scales) != dim or np.any(scales <= 0):
-        raise ValueError(f"need {dim} positive proposal scales")
+    y = _start_point(model_kind, catalog)
+    state = (y, *log_target(y))
+    chol = np.diag(np.asarray(scales, dtype=float))
+    factor = 1.0
 
-    def step(z, lp):
-        prop = z + scales * rng.standard_normal(dim)
-        lp_prop = log_target(prop)
-        if metropolis_accept(rng, lp_prop - lp):
-            return prop, lp_prop, True
-        return z, lp, False
-
+    burn = np.empty((config.burn_in, 1 + k))
     burn_accepts = 0
-    window_accepts = 0
-    for i in range(config.burn_in):
-        z, lp, accepted = step(z, lp)
-        burn_accepts += accepted
-        window_accepts += accepted
-        if (i + 1) % ADAPT_WINDOW == 0:
-            rate = window_accepts / ADAPT_WINDOW
-            if rate < ACCEPT_LO:
-                scales /= ADAPT_FACTOR
-            elif rate > ACCEPT_HI:
-                scales *= ADAPT_FACTOR
-            window_accepts = 0
+    for start in range(0, config.burn_in, ADAPT_WINDOW):
+        done = min(start + ADAPT_WINDOW, config.burn_in)
+        state, accepts = _walk(rng, log_target, state, factor * chol, burn[start:done])
+        burn_accepts += accepts
+        if done - start < ADAPT_WINDOW:
+            break
+        rate = accepts / ADAPT_WINDOW
+        if rate < ACCEPT_LO:
+            factor /= ADAPT_FACTOR
+        elif rate > ACCEPT_HI:
+            factor *= ADAPT_FACTOR
+        if k > 1:
+            try:
+                cov = np.cov(burn[done // 2 : done, 1:], rowvar=False)
+                chol = np.linalg.cholesky(cov) * (HAARIO_SCALE / math.sqrt(k))
+            except np.linalg.LinAlgError:
+                pass  # too few distinct states yet; keep the last factor
     if config.burn_in >= ADAPT_WINDOW and burn_accepts == 0:
         raise McmcError("no proposals accepted during burn-in; check scales/start")
 
-    n_draws = config.iterations // config.thin
-    draws = np.empty((n_draws, dim))
-    accepts = 0
-    j = 0
-    for i in range(1, config.iterations + 1):
-        z, lp, accepted = step(z, lp)
-        accepts += accepted
-        if i % config.thin == 0:
-            draws[j] = z
-            j += 1
-
-    draws[:, 0] = np.exp(draws[:, 0])
+    proposal = factor * chol
+    draws = np.empty((config.iterations // config.thin, 1 + k))
+    _, accepts = _walk(rng, log_target, state, proposal, draws, config.thin)
     draws[:, 1] = np.exp(draws[:, 1])
+    draws[:, 0] = rng.standard_gamma(shape, len(draws)) / (prior.b + draws[:, 0])
     return PosteriorChain(
         draws=draws,
-        param_names=names,
+        param_names=PARAMS[model_kind],
         acceptance_rate=accepts / config.iterations,
         config=config,
         model_kind=model_kind,
         prior=prior,
+        proposal_cholesky=proposal,
     )
 
 
@@ -322,10 +373,16 @@ def lag1_autocorrelation(values: np.ndarray) -> float:
 
 
 def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
-    """Write draws as CSV (header = parameter names) plus a provenance
-    JSON sidecar (seed, burn-in, thin, acceptance rate, prior, RNG)."""
-    header = ",".join(chain.param_names)
-    np.savetxt(csv_path, chain.draws, delimiter=",", header=header, comments="")
+    """Write draws as CSV (header = parameter names, values as %.18e) plus
+    a provenance JSON sidecar (seed, burn-in, thin, acceptance rate, prior,
+    RNG and, when known, the frozen proposal's Cholesky factor)."""
+    row_fmt = ",".join(["%.18e"] * len(chain.param_names)) + "\n"
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(chain.param_names) + "\n")
+        # The bytes np.savetxt writes, formatted a block of rows at a time.
+        for start in range(0, chain.n_draws, SAVE_BLOCK_ROWS):
+            block = chain.draws[start : start + SAVE_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
     meta = {
         "schema": SCHEMA,
         "model_kind": chain.model_kind,
@@ -335,6 +392,11 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
                   "c": chain.prior.c, "d": chain.prior.d},
         "config": chain.config.to_dict(),
     }
+    if chain.proposal_cholesky is not None:
+        meta["proposal"] = {
+            "coordinates": list(WALKED[chain.model_kind]),
+            "cholesky": chain.proposal_cholesky.tolist(),
+        }
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -342,8 +404,9 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
 
 def load_chain(csv_path, meta_path) -> PosteriorChain:
     """Read a chain written by ``save_chain``.  Raises ValueError naming
-    the file when the sidecar's schema is not domecast/v1 or the CSV
-    header is not the parameter list of the sidecar's model_kind."""
+    the file when the sidecar's schema is not domecast/v1, its proposal
+    is not over the model's walked coordinates, or the CSV header is not
+    the parameter list of the sidecar's model_kind."""
     with open(meta_path) as fh:
         meta = json.load(fh)
     if meta.get("schema") != SCHEMA:
@@ -360,6 +423,17 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
             f"{csv_path}: header {','.join(names)!r} does not match the "
             f"{kind} model's parameters {','.join(PARAMS[kind])!r}"
         )
+    cholesky = None
+    if "proposal" in meta:
+        coords = list(WALKED[kind])
+        cholesky = np.array(meta["proposal"].get("cholesky"), dtype=float)
+        if meta["proposal"].get("coordinates") != coords or cholesky.shape != (
+            len(coords),
+        ) * 2:
+            raise ValueError(
+                f"{meta_path}: proposal is not a square factor over the {kind} "
+                f"model's walked coordinates {coords}"
+            )
     draws = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     cfg = meta["config"]
     return PosteriorChain(
@@ -378,4 +452,5 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
         model_kind=kind,
         prior=PriorSpec(**meta["prior"]),
         rng_algorithm=meta.get("rng_algorithm", RNG_ALGORITHM),
+        proposal_cholesky=cholesky,
     )

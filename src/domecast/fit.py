@@ -213,7 +213,8 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
     se, notes = _se_or_none(
         lambda th: kernel.nllh(*th), [alpha, beta], [True, True], ["alpha", "beta"]
     )
-    if i_best in (0, len(grid) - 1):
+    at_bound = i_best in (0, len(grid) - 1)
+    if at_bound:
         notes += (_boundary_note(i_best == 0, math.exp(grid[i_best])),)
     return FitResult(
         model_kind="aggregate",
@@ -223,7 +224,7 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
         n=catalog.n,
         n1=n1,
         k=2,
-        converged=bool(res.success),
+        converged=bool(res.success) and not at_bound,
         iterations=evals,
         notes=notes,
     )

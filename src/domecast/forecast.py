@@ -29,13 +29,14 @@ __all__ = [
 ]
 
 BAND_LEVEL = 0.90
-BISECT_T_MAX = 1e4
+BISECT_T_FIRST = 1e4  # first bracket [0, 1e4] years, widened x10 as needed
+BISECT_T_CAP = 1e12
 BISECT_REL_TOL = 1e-6
 N_PLOT_DRAWS = 100
 
 
 class BracketError(RuntimeError):
-    """Bisection target not bracketed on [0, BISECT_T_MAX]."""
+    """Bisection target not bracketed on [0, BISECT_T_CAP]."""
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,11 @@ def predictive_quartiles(
 ) -> tuple[float, float, float]:
     """Posterior-predictive quartiles (q25, q50, q75) of remaining duration.
 
-    Default inverts the posterior-mean exceedance curve by bisection; with
-    ``per_draw`` it instead averages each draw's closed-form quantile (an
-    alternative reading of "posterior quartile", exposed for comparison).
+    Default inverts the posterior-mean exceedance curve by bisection on
+    [0, 1e4] years, widened tenfold until it brackets the quartile
+    (BracketError past 1e12 years); with ``per_draw`` it instead averages
+    each draw's closed-form quantile (an alternative reading of
+    "posterior quartile", exposed for comparison).
     """
     alpha, beta = _draw_params(chain, silica)
     if per_draw:
@@ -154,11 +157,13 @@ def predictive_quartiles(
     out = []
     for q in (0.25, 0.50, 0.75):
         target = 1.0 - q
-        lo, hi = 0.0, BISECT_T_MAX
-        if mean_exceedance(hi) > target:
-            raise BracketError(
-                f"exceedance at t={hi} still above {target}; cannot bracket q={q}"
-            )
+        lo, hi = 0.0, BISECT_T_FIRST
+        while mean_exceedance(hi) > target:
+            if hi >= BISECT_T_CAP:
+                raise BracketError(
+                    f"exceedance at t={hi:g} still above {target}; cannot bracket q={q}"
+                )
+            lo, hi = hi, 10.0 * hi
         while hi - lo > BISECT_REL_TOL * max(1.0, lo):
             mid = 0.5 * (lo + hi)
             if mean_exceedance(mid) > target:

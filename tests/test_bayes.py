@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 
 from conftest import make_catalog
 from domecast.bayes import (
     ImproperPosteriorError,
     McmcConfig,
     PriorSpec,
+    WALKED,
+    _kernel,
+    _marginal_log_target,
     chain_summary,
     lag1_autocorrelation,
     load_chain,
@@ -18,6 +23,7 @@ from domecast.bayes import (
     run_mh,
     save_chain,
 )
+from domecast.fit import fit_regression
 from domecast.pareto import GPaParams
 from domecast.simulate import SimSpec, generate
 
@@ -244,3 +250,152 @@ def test_load_chain_rejects_unknown_schema(tmp_path, short_chain):
     paths = _saved_chain(tmp_path, short_chain, schema=None)
     with pytest.raises(ValueError, match=r"chain_meta\.json.*schema"):
         load_chain(*paths)
+
+
+def _regression_chain(catalog, seed=2, burn_in=3000, iterations=30_000, thin=10):
+    cfg = McmcConfig(seed=seed, burn_in=burn_in, iterations=iterations, thin=thin)
+    return run_mh("regression", catalog, REFERENCE, cfg)
+
+
+def test_chain_round_trip_keeps_frozen_proposal(tmp_path, silica_catalog):
+    chain = _regression_chain(silica_catalog, burn_in=1000, iterations=4000, thin=20)
+    L = chain.proposal_cholesky
+    assert L.shape == (3, 3)
+    assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0)
+    csv_path, meta_path = _saved_chain(tmp_path, chain)
+    meta = json.loads(meta_path.read_text())
+    assert meta["proposal"]["coordinates"] == ["log_beta", "gamma_alpha", "gamma_beta"]
+    np.testing.assert_array_equal(load_chain(csv_path, meta_path).proposal_cholesky, L)
+    # Sidecars written before the proposal was recorded still load.
+    del meta["proposal"]
+    meta_path.write_text(json.dumps(meta))
+    assert load_chain(csv_path, meta_path).proposal_cholesky is None
+
+
+def test_load_chain_rejects_proposal_of_another_model(tmp_path, short_chain):
+    proposal = {"coordinates": list(WALKED["regression"]), "cholesky": np.eye(3).tolist()}
+    paths = _saved_chain(tmp_path, short_chain, proposal=proposal)
+    with pytest.raises(ValueError, match=r"chain_meta\.json.*proposal"):
+        load_chain(*paths)
+
+
+def test_save_chain_writes_savetxt_bytes(tmp_path):
+    draws = np.array(
+        [[-0.0, 1e-300], [1e300, 0.1], [3.0, -2.5e-7]] * 700  # spans blocks
+    )
+    csv_path = tmp_path / "chain.csv"
+    save_chain(_const_chain(draws), csv_path, tmp_path / "chain_meta.json")
+    want = tmp_path / "savetxt.csv"
+    np.savetxt(want, draws, delimiter=",", header="alpha,beta", comments="")
+    assert csv_path.read_bytes() == want.read_bytes()
+
+
+def test_run_mh_proposal_scales_name_walked_coordinates(mcmc_catalog):
+    cfg = McmcConfig(seed=0, burn_in=0, iterations=10, thin=1, proposal_scales=(0.1, 0.1))
+    with pytest.raises(ValueError, match="log_beta"):
+        run_mh("aggregate", mcmc_catalog, REFERENCE, cfg)
+
+
+def test_run_mh_rejects_prior_without_alpha_conditional():
+    # Proper by propriety_check (c, d > 0), but a + n1 = 0: alpha | rest
+    # ~ Gamma(0, b + S) does not exist.
+    cat = make_catalog([(1.0, True), (2.0, True)])
+    cfg = McmcConfig(seed=0, burn_in=0, iterations=10, thin=1)
+    with pytest.raises(ImproperPosteriorError, match="a \\+ n1"):
+        run_mh("aggregate", cat, PriorSpec(0, 1, 1, 1), cfg)
+
+
+def _log_alpha_integral(kind, catalog, prior, beta, gammas):
+    """log of the integral over alpha of exp(log_posterior), by quadrature
+    around the mode of the alpha integrand."""
+
+    def log_f(a):
+        return log_posterior(kind, catalog, prior, [a, beta, *gammas])
+
+    n1 = catalog.n1 + prior.a
+    grid = np.geomspace(1e-3, 1e3, 601)
+    mode = grid[np.argmax([log_f(a) for a in grid])]
+    width = 12 * mode / math.sqrt(n1)
+    lo, hi = max(mode - width, 0.0), mode + width
+    ref = log_f(mode)
+    val, _ = quad(lambda a: math.exp(log_f(a) - ref), lo, hi, points=[mode],
+                  epsabs=0.0, epsrel=1e-12, limit=200)
+    return ref + math.log(val)
+
+
+@pytest.mark.parametrize("prior", [REFERENCE, PriorSpec(2, 1, 2, 1)])
+@pytest.mark.parametrize("kind", ["aggregate", "regression"])
+def test_marginal_target_integrates_alpha_out(kind, prior, silica_catalog):
+    log_target = _marginal_log_target(_kernel(kind, silica_catalog), prior)
+    states = [(0.7, 0.0, 0.0), (1.6, 0.05, -0.08), (0.3, -0.1, 0.12)]
+    gaps = []
+    for beta, ga, gb in states:
+        gammas = [ga, gb] if kind == "regression" else []
+        lp, _ = log_target([math.log(beta), *gammas])
+        # The walk is on log beta: its density carries the Jacobian beta.
+        integral = _log_alpha_integral(kind, silica_catalog, prior, beta, gammas)
+        gaps.append(lp - (integral + math.log(beta)))
+    assert gaps[1] == pytest.approx(gaps[0], rel=1e-8)
+    assert gaps[2] == pytest.approx(gaps[0], rel=1e-8)
+
+
+def _regression_grid_moments(catalog, n_grid=25, half_width_se=6.0):
+    """Posterior means and SDs of (alpha, beta, gamma_alpha, gamma_beta)
+    under the reference prior, from a grid over (log beta, gamma_alpha,
+    gamma_beta) with alpha integrated out in closed form:
+    p(y) ~ Gamma(n1) S^-n1 exp(-U) beta^-n1 exp(-(gb - ga) sum delta dx) beta
+    and E[alpha | y] = n1 / S, E[alpha^2 | y] = n1 (n1 + 1) / S^2."""
+    mle = fit_regression(catalog)
+    est, se = mle.estimates, mle.standard_errors
+    center = (math.log(est["beta"]), est["gamma_alpha"], est["gamma_beta"])
+    widths = (se["beta"] / est["beta"], se["gamma_alpha"], se["gamma_beta"])
+    axes = [
+        np.linspace(c - half_width_se * w, c + half_width_se * w, n_grid)
+        for c, w in zip(center, widths)
+    ]
+    lb, ga, gb = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    t = np.array([r.duration for r in catalog.records])
+    delta = np.array([0.0 if r.censored else 1.0 for r in catalog.records])
+    dx = np.array([r.silica_pct for r in catalog.records]) - 60.0
+    n1 = delta.sum()
+    L = np.log1p(t / np.exp(lb[:, None] + gb[:, None] * dx))
+    S = (np.exp(ga[:, None] * dx) * L).sum(axis=1)
+    U = (delta * L).sum(axis=1)
+    log_p = -n1 * np.log(S) - U - (gb - ga) * (delta @ dx) - n1 * lb
+    w = np.exp(log_p - log_p.max())
+    w /= w.sum()
+    edge = np.zeros((n_grid,) * 3, dtype=bool)
+    for axis in range(3):
+        idx = [slice(None)] * 3
+        for end in (0, -1):
+            idx[axis] = end
+            edge[tuple(idx)] = True
+    # The grid holds the posterior: mass this small on the faces moves no
+    # mean by more than 1e-4 * 6 SD.
+    assert w[edge.ravel()].sum() < 1e-4
+    first = [n1 / S, np.exp(lb), ga, gb]
+    second = [n1 * (n1 + 1) / S**2, np.exp(2 * lb), ga**2, gb**2]
+    means = np.array([w @ m for m in first])
+    sds = np.sqrt(np.array([w @ m for m in second]) - means**2)
+    return means, sds
+
+
+def test_regression_chain_matches_grid_oracle(silica_catalog):
+    means, sds = _regression_grid_moments(silica_catalog)
+    chain = _regression_chain(silica_catalog)
+    gap = np.abs(chain.draws.mean(axis=0) - means) / sds
+    assert np.all(gap < 0.1), gap
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "regression"])
+def test_alpha_draws_follow_gamma_conditional(kind, silica_catalog):
+    # alpha_j (b + S_j) ~ Gamma(a + n1, 1) independently of the walk.
+    prior = PriorSpec(2, 1, 2, 1)
+    cfg = McmcConfig(seed=4, burn_in=1000, iterations=30_000, thin=10)
+    chain = run_mh(kind, silica_catalog, prior, cfg)
+    kernel = _kernel(kind, silica_catalog)
+    S = np.array([kernel.sums(*row[1:])[0] for row in chain.draws])
+    scaled = chain.column("alpha") * (prior.b + S)
+    shape = prior.a + silica_catalog.n1
+    assert abs(scaled.mean() - shape) < 4 * math.sqrt(shape / len(scaled))
+    assert stats.kstest(scaled, "gamma", args=(shape,)).pvalue > 1e-3

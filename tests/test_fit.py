@@ -226,3 +226,12 @@ def test_grouped_sum_beats_aggregate(silica_catalog):
     if covered == silica_catalog.n:
         agg = fit_aggregate(silica_catalog)
         assert pool_grouped(fits).nllh_at_mle <= agg.nllh_at_mle + 1e-6
+
+
+def test_fit_aggregate_at_beta_search_bound_is_not_converged(synthetic_gpa):
+    assert fit_aggregate(synthetic_gpa).converged is True
+    upper = fit_aggregate(generate(SimSpec(ExpParams(0.5), n=2000, seed=1)))
+    lower = fit_aggregate(generate(SimSpec(GPaParams(0.3, 1e-7), n=500, seed=1)))
+    for boundary_fit in (upper, lower):
+        assert boundary_fit.converged is False
+        assert "search bound" in boundary_fit.notes[0]

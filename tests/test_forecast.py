@@ -196,3 +196,12 @@ def test_per_draw_quartiles_flag():
     for g, w in zip(per_draw, expected):
         assert g == pytest.approx(w, rel=1e-12)
     assert per_draw != mean_curve
+
+
+def test_predictive_quartiles_beyond_first_bracket():
+    # alpha = 0.15: q75 = 4^(1/0.15) - 1 ~ 10 320 yr lies past 1e4 yr.
+    p = GPaParams(0.15, 1.0)
+    got = predictive_quartiles(_chain(np.tile([0.15, 1.0], (50, 1))), 0.0)
+    for g, q in zip(got, (0.25, 0.50, 0.75)):
+        assert g == pytest.approx(plugin_remaining_quantile(p, 0.0, q), rel=1e-5)
+    assert got[2] > 1e4
