@@ -3,15 +3,25 @@
 A catalog row is one eruption with a duration in years, a censoring flag
 (ongoing eruptions only give a lower bound on duration), a composition
 class, and an optional silica percentage used by the regression model.
+
+A ``Catalog`` stores its rows as read-only numpy columns: ``names`` and
+``comp_class`` (object arrays of str and ``CompositionClass``),
+``start_year``, ``duration``, ``censored`` and ``silica`` (NaN where
+missing).  ``EruptionRecord`` rows exist only at the edges: parsed CSV
+rows, ``Catalog(records)`` and the ``records`` view.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
+
+import numpy as np
 
 __all__ = [
     "CatalogError",
@@ -70,43 +80,103 @@ class EruptionRecord:
             )
 
 
-@dataclass(frozen=True)
+# Catalog's columns and their dtypes, in EruptionRecord's field order.
+_COLUMNS = ("names", "start_year", "duration", "censored", "comp_class", "silica")
+_DTYPES = (object, float, float, bool, object, float)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Catalog:
-    """Immutable ordered collection of eruption records."""
+    """Immutable ordered collection of eruptions, held as read-only
+    columns (see the module docstring)."""
 
-    records: tuple[EruptionRecord, ...]
-    as_of_date: Optional[str] = None
+    names: np.ndarray
+    start_year: np.ndarray
+    duration: np.ndarray
+    censored: np.ndarray
+    comp_class: np.ndarray
+    silica: np.ndarray
+    as_of_date: Optional[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+    def __init__(
+        self, records: Iterable[EruptionRecord], as_of_date: Optional[str] = None
+    ):
+        records = tuple(records)
+        columns = (
+            [getattr(r, f.name) for r in records] for f in fields(EruptionRecord)
+        )
+        self._set_columns(as_of_date, **dict(zip(_COLUMNS, columns)))
+
+    @classmethod
+    def _from_columns(cls, as_of_date: Optional[str] = None, **columns) -> "Catalog":
+        """Package-private: a catalog that takes over valid columns."""
+        catalog = object.__new__(cls)
+        catalog._set_columns(as_of_date, **columns)
+        return catalog
+
+    def _set_columns(self, as_of_date, **columns) -> None:
+        for name, dtype in zip(_COLUMNS, _DTYPES):
+            column = np.asarray(columns[name], dtype=dtype)  # None -> NaN
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "as_of_date", as_of_date)
+
+    def _columns(self) -> dict:
+        return {name: getattr(self, name) for name in _COLUMNS}
+
+    def _replace(self, **columns) -> "Catalog":
+        return Catalog._from_columns(self.as_of_date, **{**self._columns(), **columns})
+
+    def _take(self, index) -> "Catalog":
+        return self._replace(**{k: v[index] for k, v in self._columns().items()})
+
+    def _rows(self):
+        """Each row as Python values in EruptionRecord's field order."""
+        *columns, silica = (v.tolist() for v in self._columns().values())
+        return zip(*columns, (None if math.isnan(x) else x for x in silica))
+
+    @cached_property
+    def records(self) -> tuple[EruptionRecord, ...]:
+        """The rows as EruptionRecords, built on first access."""
+        return tuple(EruptionRecord(*row) for row in self._rows())
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.duration)
 
     @property
     def n1(self) -> int:
         """Number of uncensored (completed) records."""
-        return sum(1 for r in self.records if not r.censored)
+        return self.n - self.n0
 
     @property
     def n0(self) -> int:
         """Number of censored (ongoing) records."""
-        return sum(1 for r in self.records if r.censored)
+        return int(np.count_nonzero(self.censored))
 
     def filter_class(self, cls: CompositionClass) -> "Catalog":
-        return Catalog(
-            tuple(r for r in self.records if r.composition_class is cls),
-            self.as_of_date,
-        )
+        return self._take(self.comp_class == cls)
 
     def completed_only(self) -> "Catalog":
-        return Catalog(
-            tuple(r for r in self.records if not r.censored), self.as_of_date
-        )
+        return self._take(~self.censored)
 
     def concat(self, other: "Catalog") -> "Catalog":
-        return Catalog(self.records + other.records, self.as_of_date)
+        theirs = other._columns()
+        return self._replace(
+            **{k: np.concatenate((v, theirs[k])) for k, v in self._columns().items()}
+        )
+
+    def _key(self) -> tuple:
+        # The rows hold None for missing silica, so NaN silica compares equal.
+        return self.as_of_date, tuple(self._rows())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -115,16 +185,6 @@ class CatalogSummary:
     completed: int
     ongoing: int
     by_class: dict = field(default_factory=dict)  # class value -> (total, completed, ongoing)
-
-
-def _parse_silica(text: str, line_no: int) -> Optional[float]:
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise CatalogError(f"line {line_no}: bad silica_pct {text!r}") from None
 
 
 def parse_catalog(source, as_of_date: Optional[str] = None) -> Catalog:
@@ -163,8 +223,6 @@ def parse_catalog(source, as_of_date: Optional[str] = None) -> Catalog:
             duration = float(dur_s)
         except ValueError:
             raise CatalogError(f"line {line_no}: non-numeric year/duration") from None
-        if not duration > 0:
-            raise CatalogError(f"line {line_no}: duration must be > 0, got {duration}")
         status_l = status.lower()
         if status_l not in ("completed", "ongoing"):
             raise CatalogError(f"line {line_no}: unknown status {status!r}")
@@ -174,7 +232,10 @@ def parse_catalog(source, as_of_date: Optional[str] = None) -> Catalog:
             raise CatalogError(
                 f"line {line_no}: unknown composition class {cls_s!r}"
             ) from None
-        silica = _parse_silica(sil_s, line_no)
+        try:
+            silica = float(sil_s) if sil_s else None
+        except ValueError:
+            raise CatalogError(f"line {line_no}: bad silica_pct {sil_s!r}") from None
         try:
             records.append(
                 EruptionRecord(
@@ -193,7 +254,7 @@ def parse_catalog(source, as_of_date: Optional[str] = None) -> Catalog:
         raise CatalogError("empty catalog: no header found")
     if not records:
         raise CatalogError("empty catalog")
-    return Catalog(tuple(records), as_of_date)
+    return Catalog(records, as_of_date)
 
 
 def serialize_catalog(catalog: Catalog) -> str:
@@ -201,15 +262,15 @@ def serialize_catalog(catalog: Catalog) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in catalog.records:
+    for name, start_year, duration, censored, comp, silica in catalog._rows():
         writer.writerow(
             [
-                r.volcano_name,
-                repr(r.start_year),
-                repr(r.duration),
-                "ongoing" if r.censored else "completed",
-                r.composition_class.value,
-                "" if r.silica_pct is None else repr(r.silica_pct),
+                name,
+                repr(start_year),
+                repr(duration),
+                "ongoing" if censored else "completed",
+                comp.value,
+                "" if silica is None else repr(silica),
             ]
         )
     return out.getvalue()
@@ -218,9 +279,8 @@ def serialize_catalog(catalog: Catalog) -> str:
 def summarize(catalog: Catalog) -> CatalogSummary:
     by_class = {}
     for cls in CompositionClass:
-        sub = [r for r in catalog.records if r.composition_class is cls]
-        comp = sum(1 for r in sub if not r.censored)
-        by_class[cls.value] = (len(sub), comp, len(sub) - comp)
+        sub = catalog.filter_class(cls)
+        by_class[cls.value] = (sub.n, sub.n1, sub.n0)
     return CatalogSummary(
         total=catalog.n,
         completed=catalog.n1,
@@ -275,5 +335,8 @@ _LONG_DURATION_FIXTURE = (
 
 def load_fixture_long_durations() -> list[tuple[float, int, str, bool]]:
     """Embedded list of (duration_yr, start_year, name, censored) for all
-    catalog eruptions lasting five years or longer, sorted ascending."""
+    catalog eruptions lasting five years or longer, sorted ascending.
+
+    The tuples carry no composition class or silica, so they feed
+    summaries and survival plots, not the model fits."""
     return [tuple(row) for row in _LONG_DURATION_FIXTURE]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -74,13 +75,7 @@ def _load_catalog(path: str, days: bool = False) -> Catalog:
     except OSError as exc:
         raise DataError(f"cannot read catalog {path!r}: {exc}") from exc
     if days:
-        cat = Catalog(
-            tuple(
-                dataclasses.replace(r, duration=r.duration / DAYS_PER_YEAR)
-                for r in cat.records
-            ),
-            cat.as_of_date,
-        )
+        cat = cat._replace(duration=cat.duration / DAYS_PER_YEAR)
     return cat
 
 
@@ -148,11 +143,9 @@ def cmd_gof(args) -> int:
     quantile_fn, k_fitted, _ = _model_from_fit_doc(doc, args.silica)
     try:
         report = gof.gof_test(cat, quantile_fn, k_fitted, n_bins=args.bins)
-    except ValueError as exc:
-        if "dof" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        raise DataError(str(exc)) from exc
+    except gof._BinCountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _write_json(os.path.join(args.out, "gof.json"), report.to_dict())
     return EXIT_OK
 
@@ -296,11 +289,11 @@ def cmd_empirical(args) -> int:
     doc = _load_fit_json(args.fit) if args.fit else None
 
     lines = ["class,duration,fraction_exceeding"]
-    groups = {"all": list(cat.records)}
+    groups = {"all": cat}
     for cls in CompositionClass:
-        groups[cls.value] = [r for r in cat.records if r.composition_class is cls]
-    for label, records in groups.items():
-        durations = sorted(r.duration for r in records)
+        groups[cls.value] = cat.filter_class(cls)
+    for label, group in groups.items():
+        durations = np.sort(group.duration).tolist()
         n = len(durations)
         for i, d in enumerate(durations):
             lines.append(f"{label},{d},{(n - i) / n}")
@@ -311,33 +304,33 @@ def cmd_empirical(args) -> int:
         kind = doc.get("model_kind")
         curve_lines = ["t,survival"]
         seg_lines = ["volcano,class,age_s,median_shift"]
-        t_max = max(r.duration for r in cat.records)
+        t_max = float(cat.duration.max())
         t_grid = np.logspace(-3, np.log10(2 * t_max), 200)
 
-        def params_for(record):
+        def params_for(name, silica):
             if kind == "regression":
-                if record.silica_pct is None:
+                if math.isnan(silica):
                     raise DataError(
-                        f"record {record.volcano_name!r} lacks silica for "
-                        "regression median shift"
+                        f"record {name!r} lacks silica for regression median shift"
                     )
                 return RegressionParams(
                     est["alpha"], est["beta"], est["gamma_alpha"], est["gamma_beta"]
-                ).at_silica(record.silica_pct)
+                ).at_silica(silica)
             return GPaParams(est["alpha"], est["beta"])
 
         base = GPaParams(est["alpha"], est["beta"]) if kind != "exponential" else None
         if base is not None:
             for t, p in zip(t_grid, survival(base, t_grid)):
                 curve_lines.append(f"{t},{p}")
-            for r in cat.records:
-                if r.censored:
-                    p = params_for(r)
-                    shift = forecast.plugin_median_shift(p, r.duration)
-                    seg_lines.append(
-                        f"{r.volcano_name},{r.composition_class.value},"
-                        f"{r.duration},{shift}"
-                    )
+            ongoing = cat.censored
+            for name, comp, age, silica in zip(
+                cat.names[ongoing],
+                cat.comp_class[ongoing],
+                cat.duration[ongoing].tolist(),
+                cat.silica[ongoing].tolist(),
+            ):
+                shift = forecast.plugin_median_shift(params_for(name, silica), age)
+                seg_lines.append(f"{name},{comp.value},{age},{shift}")
         _atomic_write(
             os.path.join(args.out, "model_curve.csv"), "\n".join(curve_lines) + "\n"
         )
@@ -345,16 +338,8 @@ def cmd_empirical(args) -> int:
             os.path.join(args.out, "segments.csv"), "\n".join(seg_lines) + "\n"
         )
 
-    summary = summarize(cat)
-    _write_json(
-        os.path.join(args.out, "summary.json"),
-        {
-            "total": summary.total,
-            "completed": summary.completed,
-            "ongoing": summary.ongoing,
-            "by_class": summary.by_class,
-        },
-    )
+    summary = dataclasses.asdict(summarize(cat))
+    _write_json(os.path.join(args.out, "summary.json"), summary)
     return EXIT_OK
 
 

@@ -8,7 +8,6 @@ one-parameter exponential test.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,6 +28,10 @@ __all__ = [
 
 DEFAULT_BINS = 13
 MIN_EXPECTED_WARN = 5.0
+
+
+class _BinCountError(ValueError):
+    """The requested bin count leaves too few bins or degrees of freedom."""
 
 
 @dataclass(frozen=True)
@@ -95,19 +98,19 @@ def gof_test(
     fully observed durations.
     """
     if n_bins < 3:
-        raise ValueError(f"n_bins must be >= 3, got {n_bins}")
+        raise _BinCountError(f"n_bins must be >= 3, got {n_bins}")
     dof = n_bins - 1 - k_fitted
     if dof < 1:
-        raise ValueError(
+        raise _BinCountError(
             f"dof = n_bins - 1 - k_fitted = {dof} < 1; increase n_bins"
         )
-    censored = [r.volcano_name for r in catalog.records if r.censored]
+    censored = catalog.names[catalog.censored].tolist()
     if censored:
         raise ValueError(
             f"gof_test requires completed durations only; censored records "
             f"present: {censored[:3]}{'...' if len(censored) > 3 else ''}"
         )
-    data = np.array([r.duration for r in catalog.records], dtype=float)
+    data = catalog.duration
     n = len(data)
     edges = equiprobable_bins(quantile_fn, n_bins)
     full_edges = np.concatenate(([0.0], edges, [np.inf]))

@@ -64,27 +64,19 @@ class RegressionParams:
 
 
 def catalog_arrays(catalog: Catalog, require_silica: bool = False):
-    """Extract (t, delta, x) arrays in catalog order; x entries are NaN
-    where silica is missing unless require_silica, which raises naming the
-    first offending record."""
+    """(t, delta, x) in catalog order: t and x are the catalog's read-only
+    duration and silica columns (x NaN where silica is missing), delta is
+    1.0 for completed and 0.0 for censored records.  require_silica
+    raises on missing silica, naming the first record without it."""
     if catalog.n == 0:
         raise ValueError("empty catalog")
-    t = np.array([r.duration for r in catalog.records], dtype=float)
-    delta = np.array(
-        [0.0 if r.censored else 1.0 for r in catalog.records], dtype=float
-    )
-    if require_silica:
-        for r in catalog.records:
-            if r.silica_pct is None:
-                raise ValueError(
-                    f"record {r.volcano_name!r} (start {r.start_year}) has no "
-                    "silica_pct; regression model requires silica for every record"
-                )
-    x = np.array(
-        [math.nan if r.silica_pct is None else r.silica_pct for r in catalog.records],
-        dtype=float,
-    )
-    return t, delta, x
+    if require_silica and np.isnan(catalog.silica).any():
+        i = np.flatnonzero(np.isnan(catalog.silica))[0]
+        raise ValueError(
+            f"record {catalog.names[i]!r} (start {catalog.start_year[i]}) has no "
+            "silica_pct; regression model requires silica for every record"
+        )
+    return catalog.duration, np.where(catalog.censored, 0.0, 1.0), catalog.silica
 
 
 class _Kernel:

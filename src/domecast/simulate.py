@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .catalog import Catalog, CompositionClass, EruptionRecord
+from .catalog import Catalog, CompositionClass
 from .likelihood import RegressionParams
 from .pareto import ExpParams, GPaParams
 
@@ -54,18 +54,16 @@ class SimSpec:
 
 def _sample_true_durations(spec: SimSpec, rng: np.random.Generator):
     u = rng.random(spec.n)
+    silica = np.full(spec.n, np.nan)
+    classes = [CompositionClass.INTERMEDIATE] * spec.n
     if isinstance(spec.model, GPaParams):
         t = spec.model.beta * np.expm1(-np.log(u) / spec.model.alpha)
-        silica = np.full(spec.n, np.nan)
-        classes = [CompositionClass.INTERMEDIATE] * spec.n
     elif isinstance(spec.model, ExpParams):
         t = -np.log(u) / spec.model.lam
-        silica = np.full(spec.n, np.nan)
-        classes = [CompositionClass.INTERMEDIATE] * spec.n
     elif isinstance(spec.model, RegressionParams):
         idx = rng.choice(len(SILICA_POINTS), size=spec.n, p=SILICA_WEIGHTS)
-        silica = np.array([SILICA_POINTS[i] for i in idx])
-        classes = [SILICA_CLASSES[i] for i in idx]
+        silica = np.array(SILICA_POINTS)[idx]
+        classes = np.array(SILICA_CLASSES, dtype=object)[idx]
         dx = silica - 60.0
         ai = spec.model.alpha * np.exp(spec.model.gamma_alpha * dx)
         bi = spec.model.beta * np.exp(spec.model.gamma_beta * dx)
@@ -96,19 +94,14 @@ def generate(spec: SimSpec, rng: Optional[np.random.Generator] = None) -> Catalo
         duration = t_true
         start = np.zeros(spec.n)
 
-    records = []
-    for i in range(spec.n):
-        records.append(
-            EruptionRecord(
-                volcano_name=f"SIM-{i:05d}",
-                start_year=float(start[i]),
-                duration=float(duration[i]),
-                censored=bool(censored[i]),
-                composition_class=classes[i],
-                silica_pct=None if math.isnan(silica[i]) else float(silica[i]),
-            )
-        )
-    return Catalog(tuple(records))
+    return Catalog._from_columns(
+        names=[f"SIM-{i:05d}" for i in range(spec.n)],
+        start_year=start,
+        duration=duration,
+        censored=censored,
+        comp_class=classes,
+        silica=silica,
+    )
 
 
 @dataclass(frozen=True)

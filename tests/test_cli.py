@@ -216,3 +216,11 @@ def test_days_flag_scales_fit(tmp_path, sim_catalog):
     d = json.loads((out_d / "fit.json").read_text())["estimates"]
     assert d["alpha"] == pytest.approx(y["alpha"], rel=1e-6)
     assert d["beta"] == pytest.approx(y["beta"] / 365.25, rel=1e-6)
+
+
+def test_gof_bins_below_three_exit_1(tmp_path, sim_catalog):
+    # Both bin-count refusals are usage errors, whatever the fitted model.
+    fit_out = tmp_path / "fit"
+    assert run(["fit", sim_catalog, "--out", fit_out]) == 0
+    assert run(["gof", sim_catalog, "--fit", fit_out / "fit.json",
+                "--bins", 2, "--out", tmp_path]) == 1

@@ -104,3 +104,26 @@ def test_regression_order_invariance(data):
     assert b.nllh_at_mle == pytest.approx(a.nllh_at_mle, rel=1e-9)
     for name, value in a.estimates.items():
         assert b.estimates[name] == pytest.approx(value, rel=1e-4, abs=1e-6)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(12, 80),
+    gammas=st.tuples(st.floats(-0.15, 0.15), st.floats(-0.15, 0.15)),
+    fraction=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_regression_nllh_never_above_aggregate(n, gammas, fraction, seed):
+    # The aggregate model is the regression model at zero gammas.
+    catalog = generate(
+        SimSpec(
+            RegressionParams(0.65, 0.7, *gammas),
+            n=n,
+            censoring="random_fraction",
+            fraction=fraction,
+            seed=seed,
+        )
+    )
+    assume(catalog.n1 >= 4)
+    agg, reg = fit_aggregate(catalog), fit_regression(catalog)
+    assert reg.nllh_at_mle <= agg.nllh_at_mle + 1e-9 * abs(agg.nllh_at_mle)

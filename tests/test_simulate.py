@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -126,3 +127,30 @@ def test_recovery_study_exponential():
 def test_recovery_study_needs_replications():
     with pytest.raises(ValueError):
         recovery_study(SimSpec(GPaParams(1, 1), n=10, seed=0), 5)
+
+
+# sha256 of serialize_catalog(generate(spec)), recorded from the
+# record-based catalog: a change to the RNG draw order or to the float
+# round trip through the catalog changes them.
+PINNED_OUTPUTS = [
+    (
+        SimSpec(GPaParams(0.65, 0.70), n=200, censoring="fixed_horizon",
+                horizon=130.0, seed=11),
+        "0d275558573f7042ef913d7002ff4d18a505323206c3c913ffa8571d5949ef37",
+    ),
+    (
+        SimSpec(ExpParams(0.5), n=150, censoring="random_fraction",
+                fraction=0.1, seed=12),
+        "27121ed6d6f6093de75acce0c1d6f21302d5582748634868221b663e04a7f901",
+    ),
+    (
+        SimSpec(RegressionParams(0.69, 0.79, 0.045, 0.13), n=177, seed=13),
+        "b51920a69e2f4cdfbaa3be4f4bc2ab2b1330ee81f9e5e79903d915594c052a47",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,digest", PINNED_OUTPUTS)
+def test_generate_output_pinned(spec, digest):
+    text = serialize_catalog(generate(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
