@@ -67,9 +67,15 @@ class EruptionRecord:
     silica_pct: Optional[float] = None
 
     def __post_init__(self):
-        if not self.duration > 0:
+        if not (self.duration > 0 and math.isfinite(self.duration)):
             raise CatalogError(
-                f"duration must be > 0, got {self.duration} for {self.volcano_name!r}"
+                f"duration must be finite and > 0, got {self.duration} "
+                f"for {self.volcano_name!r}"
+            )
+        if not math.isfinite(self.start_year):
+            raise CatalogError(
+                f"start_year must be finite, got {self.start_year} "
+                f"for {self.volcano_name!r}"
             )
         if self.silica_pct is not None and not (
             SILICA_MIN <= self.silica_pct <= SILICA_MAX

@@ -1,11 +1,15 @@
 """Maximum-likelihood fitting, inverse-Hessian standard errors, AIC/BIC.
 
-The two-parameter fit profiles alpha out and searches beta on a log scale;
-the regression fit profiles alpha and runs a derivative-free simplex over
-(log beta, gamma_alpha, gamma_beta) from several starts.  Standard errors
-of the Pareto-family fits come from a central-difference Hessian on the
-working (log-positive) scale, mapped back by the delta method; the
-exponential fit's are closed form.
+Both Pareto-family fits profile alpha out and seek the least profile NLLH
+by Newton's method on its closed-form gradient and Hessian
+(``_Kernel.profile_derivatives``, one pass over the data per point),
+inside an explicit search box: log beta in [LOG_BETA_LO, LOG_BETA_HI] and
+|gamma| <= GAMMA_BOUND.  The aggregate fit searches log beta inside the
+bracket of a 100-point audit grid; the regression fit searches
+(log beta, gamma_alpha, gamma_beta) from several starts.  Their standard
+errors come from the analytic observed information on the working
+(log-positive) scale, mapped back by the delta method; the exponential
+fit's are closed form.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .catalog import Catalog, CompositionClass
-from .likelihood import _Kernel, catalog_arrays, nllh_exponential
+from .likelihood import _Kernel, _ProfileDerivatives, catalog_arrays, nllh_exponential
 from .pareto import ExpParams
 
 __all__ = [
@@ -39,9 +42,16 @@ __all__ = [
 
 LOG_BETA_LO = math.log(1e-4)
 LOG_BETA_HI = math.log(1e4)
+GAMMA_BOUND = 5.0
 BETA_GRID_POINTS = 100
-SIMPLEX_MAXFEV = 50_000
-SIMPLEX_RESTARTS = 5
+RESTARTS = 5  # regression starts besides the origin
+NEWTON_STEPS = 100  # per start
+HALVINGS = 40  # step halvings before a start gives up
+# P and its gradient are sums of about n1 terms of order one, so their
+# rounding scales with n1, not with |P| (which can cancel to near zero).
+GRAD_TOL = 1e-10  # converged when |projected gradient| <= GRAD_TOL n1
+ROUNDING = 1e-12  # P values within ROUNDING n1 of each other are tied
+CURVATURE_FLOOR = 1e-10  # relative floor on |eigenvalues| of the Newton Hessian
 
 
 class FitError(RuntimeError):
@@ -159,30 +169,91 @@ def standard_errors(
                 g(z0 + ei + ej) - g(z0 + ei - ej) - g(z0 - ei + ej) + g(z0 - ei - ej)
             ) / (4.0 * h[i] * h[j])
 
-    eigvals = np.linalg.eigvalsh(H)
-    if np.any(eigvals <= 0):
+    se_z = _inverse_sd(H)
+    return np.where(log_scale, theta_hat * se_z, se_z)
+
+
+def _inverse_sd(H: np.ndarray) -> np.ndarray:
+    """sqrt(diag(H^-1)) from the eigendecomposition of H, which stays
+    defined however badly H is conditioned; HessianError unless H is
+    positive definite."""
+    eigvals, vecs = np.linalg.eigh(H)
+    if not np.all(eigvals > 0):
         raise HessianError(
             f"Hessian not positive definite (eigenvalues {eigvals.tolist()}); "
             "standard errors undefined"
         )
-    cov = np.linalg.inv(H)
-    se_z = np.sqrt(np.diag(cov))
-    return np.where(log_scale, theta_hat * se_z, se_z)
+    return np.sqrt(vecs**2 @ (1.0 / eigvals))
 
 
-def _se_or_none(nllh_fn, theta_hat, log_scale, names):
+def _se_from_information(d: _ProfileDerivatives, estimates: dict):
+    """(SEs or None, notes) from the observed information in (log alpha,
+    log beta, gammas...) at the estimates, by the delta method."""
     try:
-        se = standard_errors(nllh_fn, theta_hat, log_scale)
-        return dict(zip(names, (float(v) for v in se))), ()
+        se_z = _inverse_sd(d.info)
     except HessianError as exc:
         return None, (str(exc),)
+    scale = [estimates["alpha"], estimates["beta"]] + [1.0] * (len(se_z) - 2)
+    return {k: float(s * v) for k, s, v in zip(estimates, scale, se_z)}, ()
+
+
+def _box_newton(kernel: _Kernel, x, lo, hi):
+    """Seek the least profile NLLH P over theta = (log beta[, gammas]) in
+    the box [lo, hi] by damped Newton from x.
+
+    A coordinate on a bound whose gradient points out of the box is held
+    there; the others take the Newton step for |H|, the Hessian with each
+    eigenvalue replaced by its absolute value (floored at CURVATURE_FLOOR
+    of the largest), clipped to the box and halved until P falls.  Where
+    H is positive definite that is Newton's step; along negative or
+    vanishing curvature it still goes downhill, at a length set by that
+    curvature, where a plain gradient step would crawl along the nearly
+    flat ridges of small catalogs.  A step that leaves P unchanged within
+    rounding is taken only if it shrinks the projected gradient.  Returns
+    (theta, derivatives there, kernel passes, converged)."""
+
+    def at(theta):
+        return kernel.profile_derivatives(math.exp(theta[0]), *theta[1:])
+
+    def held(theta, grad):
+        return ((theta <= lo) & (grad > 0)) | ((theta >= hi) & (grad < 0))
+
+    x = np.clip(np.asarray(x, dtype=float), lo, hi)
+    d, passes = at(x), 1
+    g = np.where(held(x, d.grad), 0.0, d.grad)
+    for _ in range(NEWTON_STEPS):
+        if np.abs(g).max() <= GRAD_TOL * kernel.n1:
+            return x, d, passes, True
+        free = ~held(x, d.grad)
+        curvature, vecs = np.linalg.eigh(d.hess[np.ix_(free, free)])
+        curvature = np.maximum(
+            np.abs(curvature), CURVATURE_FLOOR * np.abs(curvature).max()
+        )
+        step = np.zeros_like(x)
+        step[free] = -vecs @ ((vecs.T @ g[free]) / curvature)
+        for _ in range(HALVINGS):
+            trial = np.clip(x + step, lo, hi)
+            new = at(trial)
+            passes += 1
+            new_g = np.where(held(trial, new.grad), 0.0, new.grad)
+            if new.nllh < d.nllh or (
+                new.nllh <= d.nllh + ROUNDING * kernel.n1
+                and np.abs(new_g).max() < np.abs(g).max()
+            ):
+                break
+            step = step / 2
+        else:
+            return x, d, passes, False
+        x, d, g = trial, new, new_g
+    return x, d, passes, False
 
 
 def fit_aggregate(catalog: Catalog) -> FitResult:
     """Profile-likelihood fit of the two-parameter heavy-tailed model.
 
-    One-dimensional bounded search on log beta seeded from a 100-point
-    audit grid, with alpha profiled out in closed form.
+    Newton search on log beta inside the bracket of the best point of a
+    100-point audit grid, with alpha profiled out in closed form.
+    ``iterations`` counts kernel passes, grid included.
     """
     t, delta, _ = catalog_arrays(catalog)
     kernel = _Kernel(t, delta)
@@ -190,42 +261,31 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
     if n1 < 2:
         raise FitError(f"aggregate fit needs at least 2 uncensored records, got {n1}")
 
-    evals = 0
-
-    def objective(log_beta: float) -> float:
-        nonlocal evals
-        evals += 1
-        return kernel.profile(math.exp(log_beta))[1]
-
+    # One pass per grid point: a (100, n) array would cost tens of MB at n=1e4.
     grid = np.linspace(LOG_BETA_LO, LOG_BETA_HI, BETA_GRID_POINTS)
-    vals = [objective(g) for g in grid]
+    vals = [kernel.profile(math.exp(g))[1] for g in grid]
     i_best = int(np.argmin(vals))
     lo = grid[max(i_best - 1, 0)]
     hi = grid[min(i_best + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
-    )
-    if not res.success:
-        raise FitError(f"beta search failed: {res.message}")
-    beta = math.exp(float(res.x))
-    alpha, nllh = kernel.profile(beta)
+    y, d, passes, ok = _box_newton(kernel, [grid[i_best]], lo, hi)
+    if not ok:
+        raise FitError(f"beta search failed in [{math.exp(lo):g}, {math.exp(hi):g}]")
+    estimates = {"alpha": d.alpha, "beta": math.exp(y[0])}
 
-    se, notes = _se_or_none(
-        lambda th: kernel.nllh(*th), [alpha, beta], [True, True], ["alpha", "beta"]
-    )
+    se, notes = _se_from_information(d, estimates)
     at_bound = i_best in (0, len(grid) - 1)
     if at_bound:
         notes += (_boundary_note(i_best == 0, math.exp(grid[i_best])),)
     return FitResult(
         model_kind="aggregate",
-        estimates={"alpha": alpha, "beta": beta},
+        estimates=estimates,
         standard_errors=se,
-        nllh_at_mle=nllh,
+        nllh_at_mle=d.nllh,
         n=catalog.n,
         n1=n1,
         k=2,
-        converged=bool(res.success) and not at_bound,
-        iterations=evals,
+        converged=not at_bound,
+        iterations=len(grid) + passes,
         notes=notes,
     )
 
@@ -290,21 +350,18 @@ def fit_grouped(
 def fit_regression(catalog: Catalog) -> FitResult:
     """Log-linear silica regression fit.
 
-    Simplex search over (log beta, gamma_alpha, gamma_beta) with the
-    baseline alpha profiled out at every evaluation.  Starts include the
-    aggregate solution at zero gammas, so the fitted NLLH never exceeds
-    the aggregate fit's (the models are nested).
+    Damped Newton over (log beta, gamma_alpha, gamma_beta) in the search
+    box, with the baseline alpha profiled out, from several starts.  One
+    start is the aggregate solution at zero gammas and no accepted step
+    raises the NLLH beyond rounding, so the fitted NLLH never exceeds the
+    aggregate fit's (the models are nested).  An optimum on the box is flagged in
+    ``notes`` and is not ``converged``.  ``iterations`` counts kernel
+    passes, the aggregate fit's excluded.
     """
     kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
     n1 = int(kernel.n1)
     if n1 < 4:
         raise FitError(f"regression fit needs at least 4 uncensored records, got {n1}")
-
-    def objective(v: np.ndarray) -> float:
-        log_beta, ga, gb = v
-        if abs(ga) > 5 or abs(gb) > 5 or not (LOG_BETA_LO <= log_beta <= LOG_BETA_HI):
-            return 1e12
-        return kernel.profile(math.exp(log_beta), ga, gb)[1]
 
     agg = fit_aggregate(catalog)
     starts = [
@@ -312,58 +369,48 @@ def fit_regression(catalog: Catalog) -> FitResult:
         np.array([math.log(agg.estimates["beta"]), 0.0, 0.0]),
     ]
     rng = np.random.default_rng(20160208)  # deterministic jittered restarts
-    for _ in range(SIMPLEX_RESTARTS - 1):
+    for _ in range(RESTARTS - 1):
         starts.append(starts[1] + rng.normal(scale=0.3, size=3))
 
+    lo = np.array([LOG_BETA_LO, -GAMMA_BOUND, -GAMMA_BOUND])
+    hi = -lo
     best = None
-    total_evals = 0
-    any_success = False
-    per_start_budget = SIMPLEX_MAXFEV // len(starts)
+    total_passes = 0
     for s0 in starts:
-        res = minimize(
-            objective,
-            s0,
-            method="Nelder-Mead",
-            options={
-                "fatol": 1e-10,
-                "xatol": 1e-8,
-                "maxfev": per_start_budget,
-            },
-        )
-        total_evals += res.nfev
-        any_success = any_success or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.isfinite(best.fun):
-        raise FitError("regression optimizer failed to find a finite optimum")
-
-    log_beta, ga, gb = best.x
-    beta = math.exp(log_beta)
-    alpha, nllh = kernel.profile(beta, ga, gb)
-    if not any_success:
+        x, d, passes, ok = _box_newton(kernel, s0, lo, hi)
+        total_passes += passes
+        if ok and (best is None or d.nllh < best[1].nllh):
+            best = x, d
+    if best is None:
         raise FitError("regression optimizer did not converge from any start")
 
-    se, notes = _se_or_none(
-        lambda th: kernel.nllh(*th),
-        [alpha, beta, ga, gb],
-        [True, True, False, False],
-        ["alpha", "beta", "gamma_alpha", "gamma_beta"],
-    )
+    x, d = best
+    estimates = {
+        "alpha": d.alpha,
+        "beta": math.exp(x[0]),
+        "gamma_alpha": float(x[1]),
+        "gamma_beta": float(x[2]),
+    }
+    se, notes = _se_from_information(d, estimates)
+    on_box = (x <= lo) | (x >= hi)
+    for j in np.flatnonzero(on_box):
+        name = ("beta", "gamma_alpha", "gamma_beta")[j]
+        bound = estimates[name]
+        notes += (
+            f"{name} at the {'upper' if x[j] >= hi[j] else 'lower'} bound "
+            f"{bound:g} of the search box: no interior likelihood maximum was "
+            "found; the estimates are boundary values",
+        )
     return FitResult(
         model_kind="regression",
-        estimates={
-            "alpha": alpha,
-            "beta": beta,
-            "gamma_alpha": float(ga),
-            "gamma_beta": float(gb),
-        },
+        estimates=estimates,
         standard_errors=se,
-        nllh_at_mle=nllh,
+        nllh_at_mle=d.nllh,
         n=catalog.n,
         n1=n1,
         k=4,
-        converged=any_success,
-        iterations=total_evals,
+        converged=not on_box.any(),
+        iterations=total_passes,
         notes=notes,
     )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +80,16 @@ def catalog_arrays(catalog: Catalog, require_silica: bool = False):
     return catalog.duration, np.where(catalog.censored, 0.0, 1.0), catalog.silica
 
 
+class _ProfileDerivatives(NamedTuple):
+    """What ``_Kernel.profile_derivatives`` returns at one point."""
+
+    alpha: float  # profile MLE n1/S
+    nllh: float  # profile NLLH P
+    grad: np.ndarray  # dP/dtheta
+    hess: np.ndarray  # d2P/dtheta2
+    info: np.ndarray  # observed information in (log alpha, theta)
+
+
 class _Kernel:
     """Both GPa likelihoods as functions of two array sums.
 
@@ -93,7 +104,7 @@ class _Kernel:
     model) w_i = 1 and b_i = beta, and silica is never read.
     """
 
-    __slots__ = ("t", "delta", "dx", "n1", "delta_dx")
+    __slots__ = ("t", "delta", "dx", "n1", "delta_dx", "moment_arrays")
 
     def __init__(self, t, delta, x=None):
         self.t = t
@@ -101,6 +112,7 @@ class _Kernel:
         self.dx = None if x is None else x - SILICA_CENTER
         self.n1 = float(delta.sum())
         self.delta_dx = 0.0 if x is None else float(delta @ self.dx)
+        self.moment_arrays = None  # built by the first profile_derivatives
 
     def sums(self, beta, gamma_alpha=0.0, gamma_beta=0.0) -> tuple[float, float]:
         if self.dx is None:
@@ -123,6 +135,78 @@ class _Kernel:
         S, U = self.sums(beta, gamma_alpha, gamma_beta)
         alpha = self.n1 / S
         return alpha, self._nllh(S, U, alpha, beta, gamma_alpha, gamma_beta)
+
+    def profile_derivatives(
+        self, beta, gamma_alpha=0.0, gamma_beta=0.0
+    ) -> _ProfileDerivatives:
+        """The profile NLLH P at alpha = n1/S with its gradient and Hessian
+        in theta = (log beta, gamma_alpha, gamma_beta), or (log beta,)
+        without x, and the observed information of the full NLLH in
+        (log alpha, theta) at that alpha, all from one pass over the data.
+
+        P = n1 log beta + n1 log S + U + (gamma_beta - gamma_alpha) D
+        + n1 - n1 log n1 with D = sum_i delta_i dx_i.  With
+        r_i = t_i/(b_i + t_i) and q_i = r_i (1 - r_i), dL_i/dlog b_i = -r_i
+        and dr_i/dlog b_i = -q_i, so every derivative of S and U is one of
+        the moments sum_i [w_i L_i, delta_i L_i, w_i r_i, w_i q_i,
+        delta_i r_i, delta_i q_i] dx_i^k, k = 0, 1, 2.  P's Hessian is
+        n1 (S''/S - S' S'^T/S^2) + U''; the information has entries
+        alpha S, alpha S' and alpha S'' + U''.
+        """
+        t = self.t
+        if self.moment_arrays is None:
+            # Columns dx^0, dx^1, dx^2 (dx^0 alone without x), plain and times
+            # delta, and one (6, n) buffer that every call overwrites: fresh
+            # arrays of that size cost more in page faults than the arithmetic.
+            powers = np.ones((len(t), 1))
+            if self.dx is not None:
+                powers = np.hstack((powers, self.dx[:, None] ** [1, 2]))
+            self.moment_arrays = (
+                powers,
+                powers * self.delta[:, None],
+                np.empty((6, len(t))),
+            )
+        powers, delta_powers, buf = self.moment_arrays
+        Y, wY = buf[:3], buf[3:]  # rows (L, r, q) and w (L, r, q)
+        if self.dx is None:
+            b, wY = beta, Y
+        else:
+            b = beta * np.exp(gamma_beta * self.dx)
+        np.log1p(t / b, out=Y[0])
+        np.divide(t, b + t, out=Y[1])
+        np.multiply(Y[1], 1.0 - Y[1], out=Y[2])
+        if self.dx is not None:
+            np.multiply(Y, np.exp(gamma_alpha * self.dx), out=wY)
+        moments = np.zeros((2, 3, 3))
+        moments[0, :, : powers.shape[1]] = wY @ powers
+        moments[1, :, : powers.shape[1]] = Y @ delta_powers
+        ((S, S1, S2), wr, wq), ((U, _, _), dr, dq) = moments.tolist()
+        # First and second derivatives in (log beta, gamma_alpha, gamma_beta):
+        # log b_i moves with log beta and with gamma_beta dx_i, log w_i with
+        # gamma_alpha dx_i.
+        dS = np.array([-wr[0], S1, -wr[1]])
+        d2S = np.array(
+            [[wq[0], -wr[1], wq[1]], [-wr[1], S2, -wr[2]], [wq[1], -wr[2], wq[2]]]
+        )
+        dU = np.array([-dr[0], 0.0, -dr[1]])
+        d2U = np.array([[dq[0], 0.0, dq[1]], [0.0, 0.0, 0.0], [dq[1], 0.0, dq[2]]])
+        k = 1 if self.dx is None else 3
+        dS, d2S, dU, d2U = dS[:k], d2S[:k, :k], dU[:k], d2U[:k, :k]
+
+        n1 = self.n1
+        alpha = n1 / S
+        tilt = np.array([n1, -self.delta_dx, self.delta_dx])[:k]
+        info = np.empty((k + 1, k + 1))
+        info[0, 0] = n1  # alpha S
+        info[0, 1:] = info[1:, 0] = alpha * dS
+        info[1:, 1:] = alpha * d2S + d2U
+        return _ProfileDerivatives(
+            alpha=alpha,
+            nllh=self._nllh(S, U, alpha, beta, gamma_alpha, gamma_beta),
+            grad=n1 * dS / S + dU + tilt,
+            hess=n1 * (d2S / S - np.outer(dS, dS) / S**2) + d2U,
+            info=info,
+        )
 
     def _nllh(self, S, U, alpha, beta, gamma_alpha, gamma_beta) -> float:
         return (

@@ -49,6 +49,23 @@ def test_zero_duration_reports_line():
         parse_catalog(text)
 
 
+def test_non_finite_year_or_duration_reports_line():
+    rows = (
+        "A,1990,2.0,completed,mafic,\n"
+        "{}\n"
+        "C,2000,1.0,completed,intermediate,\n"
+        "D,2005,3.5,ongoing,evolved,66.0\n"
+    )
+    for bad, field in (
+        ("B,nan,inf,completed,mafic,", "duration"),
+        ("B,1995,inf,completed,mafic,", "duration"),
+        ("B,nan,2.0,completed,mafic,", "start_year"),
+        ("B,-inf,2.0,ongoing,mafic,", "start_year"),
+    ):
+        with pytest.raises(CatalogError, match=f"line 3: {field} must be finite"):
+            parse_catalog(HEADER + rows.format(bad))
+
+
 def test_unknown_class_and_status():
     with pytest.raises(CatalogError, match="composition class"):
         parse_catalog(HEADER + "A,1990,2.0,completed,granitic,\n")

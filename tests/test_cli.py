@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import domecast
 from domecast.cli import main
 
 
@@ -45,6 +49,32 @@ def test_malformed_catalog_is_data_error(tmp_path):
     bad.write_text("volcano,start_year,duration_yr,status,class,silica_pct\n"
                    "X,2000,-3,completed,mafic,\n")
     assert run(["fit", bad, "--out", tmp_path]) == 2
+
+
+def test_non_finite_catalog_is_data_error(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("volcano,start_year,duration_yr,status,class,silica_pct\n"
+                   "A,1990,2.0,completed,mafic,\n"
+                   "B,nan,inf,completed,mafic,\n"
+                   "C,2000,1.0,completed,intermediate,\n"
+                   "D,2005,3.5,ongoing,evolved,66.0\n")
+    assert run(["fit", bad, "--out", tmp_path]) == 2
+    assert run(["empirical", bad, "--out", tmp_path]) == 2
+    assert not (tmp_path / "empirical.csv").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(domecast.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, domecast.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_simulate_deterministic(tmp_path, sim_catalog):

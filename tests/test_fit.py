@@ -21,6 +21,8 @@ from domecast.fit import (
 )
 from domecast.likelihood import (
     RegressionParams,
+    _Kernel,
+    catalog_arrays,
     nllh_aggregate,
     profile_alpha,
 )
@@ -235,3 +237,96 @@ def test_fit_aggregate_at_beta_search_bound_is_not_converged(synthetic_gpa):
     for boundary_fit in (upper, lower):
         assert boundary_fit.converged is False
         assert "search bound" in boundary_fit.notes[0]
+
+
+def _kernel_and_point(catalog, result):
+    """The kernel a fit used and its returned theta = (log beta[, gammas])."""
+    t, delta, x = catalog_arrays(catalog)
+    est = result.estimates
+    if result.model_kind == "regression":
+        point = (est["beta"], est["gamma_alpha"], est["gamma_beta"])
+        return _Kernel(t, delta, x), point
+    return _Kernel(t, delta), (est["beta"],)
+
+
+def test_analytic_standard_errors_match_central_differences(
+    synthetic_gpa, synthetic_regression
+):
+    for catalog, fit_fn in (
+        (synthetic_gpa, fit_aggregate),
+        (synthetic_regression, fit_regression),
+    ):
+        r = fit_fn(catalog)
+        kernel, _ = _kernel_and_point(catalog, r)
+        theta = list(r.estimates.values())
+        log_scale = [True, True] + [False] * (len(theta) - 2)
+        numeric = standard_errors(lambda th: kernel.nllh(*th), theta, log_scale)
+        np.testing.assert_allclose(list(r.standard_errors.values()), numeric, rtol=1e-4)
+
+
+def test_gradient_vanishes_at_returned_optima(
+    synthetic_gpa, synthetic_regression, silica_catalog
+):
+    fits = [(synthetic_gpa, fit_aggregate)] + [
+        (catalog, fit_fn)
+        for catalog in (synthetic_regression, silica_catalog)
+        for fit_fn in (fit_aggregate, fit_regression)
+    ]
+    for catalog, fit_fn in fits:
+        r = fit_fn(catalog)
+        assert r.converged and not r.notes
+        kernel, point = _kernel_and_point(catalog, r)
+        d = kernel.profile_derivatives(*point)
+        assert d.nllh == pytest.approx(r.nllh_at_mle, rel=1e-12)
+        assert np.abs(d.grad).max() < 1e-6 * max(1.0, abs(d.nllh))
+
+
+def test_fit_kernel_pass_counts(silica_catalog):
+    # Nelder-Mead took about 1700 evaluations here and the bounded scalar
+    # search 125; iterations now counts Newton kernel passes.
+    assert fit_regression(silica_catalog).iterations <= 170
+    assert fit_aggregate(silica_catalog).iterations <= 125
+
+
+def test_fit_regression_flags_search_box():
+    # Durations grow like exp(8 (x - 60)): gamma_beta would pass the bound 5.
+    rng = np.random.default_rng(11)
+    x = np.linspace(55.0, 65.0, 60)
+    t = np.exp(8.0 * (x - 60.0)) * 0.7 * np.expm1(rng.exponential(size=60) / 0.65)
+    rows = [(float(a), False, float(b)) for a, b in zip(t, x)]
+    r = fit_regression(make_catalog(rows))
+    assert r.converged is False
+    assert r.estimates["gamma_beta"] == 5.0
+    assert any("gamma_beta at the upper bound 5 " in note for note in r.notes)
+    assert not any(note.startswith("gamma_alpha") for note in r.notes)
+
+
+@pytest.mark.parametrize(
+    "n, gammas, fraction, seed",
+    [
+        (12, (0.0, 0.0), 0.0, 2258),
+        (12, (0.0, 0.0), 0.25, 156362642),
+        (42, (0.0, 0.0), 0.298828125, 3890862),
+        (12, (0.109375, -0.109375), 0.25, 11782),
+        (12, (0.07850968218308202, 0.0), 0.25, 3672),
+    ],
+)
+def test_fit_regression_on_small_catalogs(n, gammas, fraction, seed):
+    # Nearly flat ridges with indefinite Hessians, where gradient steps
+    # stalled and a singular information matrix broke the SEs.
+    spec = SimSpec(
+        RegressionParams(0.65, 0.7, *gammas),
+        n=n,
+        censoring="random_fraction",
+        fraction=fraction,
+        seed=seed,
+    )
+    catalog = generate(spec)
+    agg, reg = fit_aggregate(catalog), fit_regression(catalog)
+    assert reg.nllh_at_mle <= agg.nllh_at_mle
+    kernel, point = _kernel_and_point(catalog, reg)
+    d = kernel.profile_derivatives(*point)
+    if reg.converged:
+        assert np.abs(d.grad).max() < 1e-6 * max(1.0, abs(d.nllh))
+    else:
+        assert any("of the search box" in note for note in reg.notes)

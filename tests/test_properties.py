@@ -4,6 +4,7 @@ record order."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 from conftest import make_catalog
 from domecast.catalog import Catalog
 from domecast.fit import fit_aggregate, fit_regression
-from domecast.likelihood import RegressionParams, nllh_aggregate, nllh_regression
+from domecast.likelihood import (
+    RegressionParams,
+    _Kernel,
+    catalog_arrays,
+    nllh_aggregate,
+    nllh_regression,
+)
 from domecast.pareto import GPaParams
 from domecast.simulate import SimSpec, generate
 
@@ -127,3 +134,58 @@ def test_regression_nllh_never_above_aggregate(n, gammas, fraction, seed):
     assume(catalog.n1 >= 4)
     agg, reg = fit_aggregate(catalog), fit_regression(catalog)
     assert reg.nllh_at_mle <= agg.nllh_at_mle + 1e-9 * abs(agg.nllh_at_mle)
+
+
+def _central_differences(f, point, h):
+    """Gradient and Hessian of f at point by central differences of step h."""
+    eye = np.eye(len(point)) * h
+    grad = np.array([(f(point + e) - f(point - e)) / (2 * h) for e in eye])
+    hess = np.array(
+        [
+            [
+                (
+                    f(point + a + b)
+                    - f(point + a - b)
+                    - f(point - a + b)
+                    + f(point - a - b)
+                )
+                / (4 * h * h)
+                for b in eye
+            ]
+            for a in eye
+        ]
+    )
+    return grad, hess
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(12, 80),
+    fraction=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.tuples(st.floats(-2.0, 2.0), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+)
+def test_profile_derivatives_match_central_differences(n, fraction, seed, theta):
+    catalog = generate(
+        SimSpec(
+            RegressionParams(0.65, 0.7, 0.05, 0.1),
+            n=n,
+            censoring="random_fraction",
+            fraction=fraction,
+            seed=seed,
+        )
+    )
+    assume(catalog.n1 >= 1)
+    t, delta, x = catalog_arrays(catalog, require_silica=True)
+    point = np.array(theta)
+    for kernel, p in ((_Kernel(t, delta, x), point), (_Kernel(t, delta), point[:1])):
+        d = kernel.profile_derivatives(math.exp(p[0]), *p[1:])
+
+        def profile_nllh(v):
+            return kernel.profile(math.exp(v[0]), *v[1:])[1]
+
+        assert d.nllh == pytest.approx(profile_nllh(p), rel=1e-12)
+        grad, hess = _central_differences(profile_nllh, p, 1e-4)
+        scale = max(1.0, np.abs(hess).max())
+        assert np.abs(d.grad - grad).max() <= 1e-5 * scale
+        assert np.abs(d.hess - hess).max() <= 1e-5 * scale
