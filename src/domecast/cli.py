@@ -93,6 +93,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise DataError(f"bad grid spec {spec!r}; expected LO:HI:N") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DataError(f"bad grid spec {spec!r}; LO and HI must be finite")
     if n < 2 or hi <= lo:
         raise DataError(f"bad grid spec {spec!r}; need HI > LO and N >= 2")
     return np.linspace(lo, hi, n)

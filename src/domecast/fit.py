@@ -252,7 +252,8 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
     """Profile-likelihood fit of the two-parameter heavy-tailed model.
 
     Newton search on log beta inside the bracket of the best point of a
-    100-point audit grid, with alpha profiled out in closed form.
+    100-point audit grid, with alpha profiled out in closed form.  A fit
+    at a grid end or without standard errors is not ``converged``.
     ``iterations`` counts kernel passes, grid included.
     """
     t, delta, _ = catalog_arrays(catalog)
@@ -284,7 +285,7 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
         n=catalog.n,
         n1=n1,
         k=2,
-        converged=not at_bound,
+        converged=not at_bound and se is not None,
         iterations=len(grid) + passes,
         notes=notes,
     )
@@ -355,7 +356,9 @@ def fit_regression(catalog: Catalog) -> FitResult:
     start is the aggregate solution at zero gammas and no accepted step
     raises the NLLH beyond rounding, so the fitted NLLH never exceeds the
     aggregate fit's (the models are nested).  An optimum on the box is flagged in
-    ``notes`` and is not ``converged``.  ``iterations`` counts kernel
+    ``notes`` and is not ``converged``; nor is one where the information
+    is singular (a flat ridge, whose estimates are one arbitrary point of
+    it), which has no ``standard_errors``.  ``iterations`` counts kernel
     passes, the aggregate fit's excluded.
     """
     kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
@@ -409,7 +412,7 @@ def fit_regression(catalog: Catalog) -> FitResult:
         n=catalog.n,
         n1=n1,
         k=4,
-        converged=not on_box.any(),
+        converged=not on_box.any() and se is not None,
         iterations=total_passes,
         notes=notes,
     )

@@ -4,6 +4,14 @@ Plug-in forecasts evaluate the conditional quantile formula at point
 estimates; Bayesian forecasts average per-draw exceedance curves over a
 posterior chain, with 90% bands from the empirical 5%/95% quantiles of
 the per-draw probabilities.
+
+One evaluator fills (grid rows x draws) blocks of per-draw exceedance
+probabilities in place.  ``predictive_curve`` walks the grid in blocks of
+about ``_BLOCK_ELEMENTS`` values through one reused buffer, taking each
+block's plotted draws, row means and bands before the next, so its
+memory is linear in the number of draws and never holds a
+(draws x grid) matrix.  The quartile bisection and
+``predictive_exceedance`` evaluate one row at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ BISECT_T_FIRST = 1e4  # first bracket [0, 1e4] years, widened x10 as needed
 BISECT_T_CAP = 1e12
 BISECT_REL_TOL = 1e-6
 N_PLOT_DRAWS = 100
+_BLOCK_ELEMENTS = 1 << 18  # values per curve block: 2 MB of float64
 
 
 class BracketError(RuntimeError):
@@ -63,6 +72,11 @@ def plugin_median_shift(p: GPaParams, s: float) -> float:
     return plugin_remaining_quantile(p, s, 0.5)
 
 
+def _check_nonneg_finite(name: str, v: float) -> None:
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {v}")
+
+
 def _draw_params(chain: PosteriorChain, silica: Optional[float]):
     """Per-draw (alpha', beta') arrays, silica-adjusted for regression chains."""
     alpha = chain.column("alpha")
@@ -76,10 +90,20 @@ def _draw_params(chain: PosteriorChain, silica: Optional[float]):
     return alpha, beta
 
 
-def _exceedance_matrix(alpha, beta, s: float, t_grid):
-    # (n_draws, n_t): per-draw conditional survival (1 + t/(beta+s))^(-alpha)
-    t = np.asarray(t_grid, dtype=float)
-    return np.exp(-alpha[:, None] * np.log1p(t[None, :] / (beta[:, None] + s)))
+def _exceedance(alpha, beta, s: float):
+    """Evaluator that fills out[i, j] with draw j's conditional survival
+    (1 + t[i]/(beta_j + s))^(-alpha_j) in place and returns out, which
+    has shape (len(t), n_draws) and is allocated when not given."""
+    scale = beta + s
+    neg_alpha = -alpha
+
+    def fill(t, out=None):
+        out = np.divide(np.reshape(t, (-1, 1)), scale, out=out)
+        np.log1p(out, out=out)
+        np.multiply(neg_alpha, out, out=out)
+        return np.exp(out, out=out)
+
+    return fill
 
 
 def predictive_exceedance(
@@ -87,10 +111,10 @@ def predictive_exceedance(
 ) -> dict:
     """Posterior predictive probability of lasting at least t more years:
     mean over draws, with an equal-tailed 90% band."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_nonneg_finite("t", t)
+    _check_nonneg_finite("eruption age", s)
     alpha, beta = _draw_params(chain, silica)
-    pj = _exceedance_matrix(alpha, beta, s, [t])[:, 0]
+    pj = _exceedance(alpha, beta, s)(t).ravel()
     lo, hi = np.quantile(pj, [(1 - BAND_LEVEL) / 2, 1 - (1 - BAND_LEVEL) / 2])
     return {"mean": float(pj.mean()), "low": float(lo), "high": float(hi)}
 
@@ -103,25 +127,43 @@ def predictive_curve(
 ) -> ForecastCurve:
     """Exceedance forecast over a sorted time grid, including the plug-in
     curve at the posterior-mean parameters and the first 100 per-draw
-    curves for plotting."""
+    curves for plotting.  Memory is linear in the number of draws: the
+    grid is evaluated a block of rows at a time."""
     t = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_grid must be finite")
     if t.size < 1 or np.any(np.diff(t) < 0):
         raise ValueError("t_grid must be sorted ascending")
     if np.any(t < 0):
         raise ValueError("t_grid must be >= 0")
+    _check_nonneg_finite("eruption age", s)
     alpha, beta = _draw_params(chain, silica)
-    mat = _exceedance_matrix(alpha, beta, s, t)
+    fill = _exceedance(alpha, beta, s)
+    n_draws = alpha.size
+    rows = max(1, _BLOCK_ELEMENTS // n_draws)
+    buf = np.empty((min(rows, t.size), n_draws))
+    draw_curves = np.empty((min(N_PLOT_DRAWS, n_draws), t.size))
+    mean = np.empty(t.size)
+    band = np.empty((2, t.size))
     lo_q = (1 - BAND_LEVEL) / 2
-    band = np.quantile(mat, [lo_q, 1 - lo_q], axis=0)
+    for i in range(0, t.size, rows):
+        block = fill(t[i : i + rows], buf[: t.size - i])
+        cols = slice(i, i + block.shape[0])
+        draw_curves[:, cols] = block[:, :N_PLOT_DRAWS].T
+        mean[cols] = block.mean(axis=1)
+        # Partitions the block in place, so it comes last.
+        band[:, cols] = np.quantile(
+            block, [lo_q, 1 - lo_q], axis=1, overwrite_input=True
+        )
     plug = GPaParams(float(alpha.mean()), float(beta.mean()))
     plug_curve = np.exp(-plug.alpha * np.log1p(t / (plug.beta + s)))
     return ForecastCurve(
         t_grid=t,
-        mean_probability=mat.mean(axis=0),
+        mean_probability=mean,
         band_low=band[0],
         band_high=band[1],
         plug_in_probability=plug_curve,
-        draw_curves=mat[:N_PLOT_DRAWS],
+        draw_curves=draw_curves,
         eruption_age_s=s,
         model_kind=chain.model_kind,
     )
@@ -141,6 +183,7 @@ def predictive_quartiles(
     each draw's closed-form quantile (an alternative reading of
     "posterior quartile", exposed for comparison).
     """
+    _check_nonneg_finite("eruption age", s)
     alpha, beta = _draw_params(chain, silica)
     if per_draw:
         out = []
@@ -149,10 +192,11 @@ def predictive_quartiles(
             out.append(float(vals.mean()))
         return tuple(out)
 
+    fill = _exceedance(alpha, beta, s)
+    row = np.empty((1, alpha.size))
+
     def mean_exceedance(t: float) -> float:
-        return float(
-            np.mean(np.exp(-alpha * np.log1p(t / (beta + s))))
-        )
+        return float(fill(t, row).mean())
 
     out = []
     for q in (0.25, 0.50, 0.75):

@@ -254,3 +254,34 @@ def test_gof_bins_below_three_exit_1(tmp_path, sim_catalog):
     assert run(["fit", sim_catalog, "--out", fit_out]) == 0
     assert run(["gof", sim_catalog, "--fit", fit_out / "fit.json",
                 "--bins", 2, "--out", tmp_path]) == 1
+
+
+@pytest.fixture()
+def chain_csv(tmp_path, sim_catalog):
+    post = tmp_path / "post"
+    assert run(["posterior", sim_catalog, "--burn-in", 200, "--iters", 1000,
+                "--thin", 10, "--seed", 3, "--out", post]) == 0
+    return post / "chain.csv"
+
+
+@pytest.mark.parametrize("age", ["nan", "-5"])
+def test_forecast_bayes_refuses_bad_age(tmp_path, chain_csv, age):
+    out = tmp_path / "fc"
+    assert run(["forecast", "--chain", chain_csv, "--age", age,
+                "--quartiles", "--out", out]) == 2
+    assert run(["forecast", "--chain", chain_csv, "--age", age,
+                "--grid", "0:50:11", "--out", out]) == 2
+    assert not (out / "quartiles.json").exists()
+    assert not (out / "forecast.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["0:nan:5", "0:inf:4", "nan:10:3"])
+def test_forecast_refuses_non_finite_grid(tmp_path, sim_catalog, chain_csv, grid):
+    fit_out = tmp_path / "fit"
+    assert run(["fit", sim_catalog, "--out", fit_out]) == 0
+    out = tmp_path / "fc"
+    assert run(["forecast", "--chain", chain_csv, "--age", 2.0,
+                "--grid", grid, "--out", out]) == 2
+    assert run(["forecast", "--fit", fit_out / "fit.json", "--age", 2.0,
+                "--grid", grid, "--out", out]) == 2
+    assert not (out / "forecast.csv").exists()

@@ -326,7 +326,32 @@ def test_fit_regression_on_small_catalogs(n, gammas, fraction, seed):
     assert reg.nllh_at_mle <= agg.nllh_at_mle
     kernel, point = _kernel_and_point(catalog, reg)
     d = kernel.profile_derivatives(*point)
-    if reg.converged:
+    on_box = any("of the search box" in note for note in reg.notes)
+    if not on_box:
         assert np.abs(d.grad).max() < 1e-6 * max(1.0, abs(d.nllh))
-    else:
-        assert any("of the search box" in note for note in reg.notes)
+    assert reg.converged == (not on_box and reg.standard_errors is not None)
+
+
+def test_fit_regression_on_flat_ridge_is_not_converged():
+    # The information matrix is singular at the returned optimum, so the
+    # estimates are one arbitrary point of a flat likelihood ridge.
+    catalog = generate(
+        SimSpec(
+            RegressionParams(0.65, 0.7, 0, 0),
+            n=12,
+            censoring="random_fraction",
+            fraction=0.25,
+            seed=156362642,
+        )
+    )
+    r = fit_regression(catalog)
+    assert r.standard_errors is None
+    assert r.converged is False
+    assert any("standard errors undefined" in note for note in r.notes)
+    assert not any("of the search box" in note for note in r.notes)
+    assert r.to_dict()["converged"] is False
+
+
+def test_converged_fits_have_standard_errors(silica_catalog):
+    for r in (fit_aggregate(silica_catalog), fit_regression(silica_catalog)):
+        assert r.converged and r.standard_errors is not None

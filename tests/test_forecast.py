@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import domecast.forecast as forecast_module
 from domecast.bayes import McmcConfig, PosteriorChain
 from domecast.forecast import (
     plugin_median_shift,
@@ -205,3 +207,136 @@ def test_predictive_quartiles_beyond_first_bracket():
     for g, q in zip(got, (0.25, 0.50, 0.75)):
         assert g == pytest.approx(plugin_remaining_quantile(p, 0.0, q), rel=1e-5)
     assert got[2] > 1e4
+
+
+def _random_chain(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    cols = [rng.uniform(0.4, 1.0, n), rng.uniform(0.3, 1.2, n)]
+    if kind == "aggregate":
+        return _chain(np.column_stack(cols))
+    cols += [rng.normal(0.04, 0.02, n), rng.normal(0.13, 0.05, n)]
+    return _chain(
+        np.column_stack(cols),
+        names=("alpha", "beta", "gamma_alpha", "gamma_beta"),
+        kind="regression",
+    )
+
+
+def _adjusted(chain, silica):
+    alpha, beta = chain.column("alpha"), chain.column("beta")
+    if chain.model_kind == "regression":
+        dx = silica - 60.0
+        alpha = alpha * np.exp(chain.column("gamma_alpha") * dx)
+        beta = beta * np.exp(chain.column("gamma_beta") * dx)
+    return alpha, beta
+
+
+@pytest.mark.parametrize(
+    "n_draws, t_grid, kind, block_elements",
+    [
+        # 8 grid rows per block at 30 000 draws: blocks of 8, 8, 8 and 3
+        (30_000, np.linspace(0, 300, 27), "aggregate", None),
+        (30_000, np.linspace(0, 300, 27), "regression", None),
+        (30_000, np.linspace(0, 300, 100), "regression", None),
+        (60, np.linspace(0, 50, 11), "aggregate", None),
+        (60, np.linspace(0, 50, 11), "regression", None),
+        (5_000, [7.5], "aggregate", None),
+        (5_000, [7.5], "regression", None),
+        # more draws than a block holds: one grid row per block
+        (700, np.linspace(0, 80, 5), "regression", 500),
+        (700, np.linspace(0, 80, 13), "aggregate", 3_000),
+    ],
+)
+def test_predictive_curve_matches_dense_oracle(
+    monkeypatch, n_draws, t_grid, kind, block_elements
+):
+    if block_elements is not None:
+        monkeypatch.setattr(forecast_module, "_BLOCK_ELEMENTS", block_elements)
+    chain = _random_chain(n_draws, kind, seed=n_draws + len(t_grid))
+    silica = 58.2 if kind == "regression" else None
+    s = 19.7
+    t = np.asarray(t_grid, dtype=float)
+    alpha, beta = _adjusted(chain, silica)
+    dense = np.exp(-alpha[:, None] * np.log1p(t[None, :] / (beta[:, None] + s)))
+    lo_q = (1 - 0.90) / 2
+    band = np.quantile(dense, [lo_q, 1 - lo_q], axis=0)
+
+    curve = predictive_curve(chain, s, silica, t_grid)
+    # Same values, order statistics and weights as the dense evaluation,
+    # so equal to the bit; a band level written as 0.05 instead of
+    # (1 - 0.90) / 2 moves some of them by an ulp.
+    np.testing.assert_array_equal(curve.band_low, band[0])
+    np.testing.assert_array_equal(curve.band_high, band[1])
+    np.testing.assert_array_equal(curve.draw_curves, dense[:100])
+    assert curve.draw_curves.shape == (min(100, n_draws), t.size)
+    np.testing.assert_allclose(
+        curve.mean_probability, dense.mean(axis=0), rtol=1e-12, atol=0
+    )
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "regression"])
+def test_quartiles_and_exceedance_equal_closed_loop(kind):
+    chain = _random_chain(4_000, kind, seed=5)
+    silica = 63.0 if kind == "regression" else None
+    s = 3.5
+    alpha, beta = _adjusted(chain, silica)
+
+    def mean_exceedance(t):
+        return float(np.mean(np.exp(-alpha * np.log1p(t / (beta + s)))))
+
+    want = []
+    for q in (0.25, 0.50, 0.75):
+        lo, hi = 0.0, 1e4
+        while mean_exceedance(hi) > 1.0 - q:
+            lo, hi = hi, 10.0 * hi
+        while hi - lo > 1e-6 * max(1.0, lo):
+            mid = 0.5 * (lo + hi)
+            if mean_exceedance(mid) > 1.0 - q:
+                lo = mid
+            else:
+                hi = mid
+        want.append(0.5 * (lo + hi))
+    assert predictive_quartiles(chain, s, silica) == tuple(want)
+
+    pj = np.exp(-alpha * np.log1p(12.5 / (beta + s)))
+    lo, hi = np.quantile(pj, [(1 - 0.90) / 2, 1 - (1 - 0.90) / 2])
+    assert predictive_exceedance(chain, s, silica, 12.5) == {
+        "mean": float(pj.mean()),
+        "low": float(lo),
+        "high": float(hi),
+    }
+
+
+def test_predictive_curve_memory_is_linear_in_draws():
+    chain = _random_chain(200_000, "aggregate", seed=8)
+    t_grid = np.linspace(0, 300, 100)
+    tracemalloc.start()
+    try:
+        predictive_curve(chain, 19.7, None, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A dense (draws x grid) evaluation peaks near 300 MB here.
+    assert peak < 32e6
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -5.0])
+def test_bayes_forecasts_refuse_bad_age(s):
+    chain = _random_chain(200, "aggregate", seed=2)
+    with pytest.raises(ValueError, match="age"):
+        predictive_curve(chain, s, None, [0.0, 1.0])
+    with pytest.raises(ValueError, match="age"):
+        predictive_exceedance(chain, s, None, 1.0)
+    with pytest.raises(ValueError, match="age"):
+        predictive_quartiles(chain, s)
+    with pytest.raises(ValueError, match="age"):
+        predictive_quartiles(chain, s, per_draw=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_predictive_curve_refuses_non_finite_grid(bad):
+    chain = _random_chain(200, "aggregate", seed=2)
+    with pytest.raises(ValueError, match="finite"):
+        predictive_curve(chain, 1.0, None, [0.0, 1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        predictive_exceedance(chain, 1.0, None, bad)
