@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import fit
 from .catalog import Catalog
 from .likelihood import _Kernel, catalog_arrays
 
@@ -125,17 +127,6 @@ class McmcConfig:
         if self.iterations % self.thin != 0:
             raise ValueError("iterations must be divisible by thin")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "burn_in": self.burn_in,
-            "iterations": self.iterations,
-            "thin": self.thin,
-            "proposal_scales": None
-            if self.proposal_scales is None
-            else list(self.proposal_scales),
-        }
-
 
 @dataclass(frozen=True)
 class PosteriorChain:
@@ -221,19 +212,17 @@ def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
 
 def _start_point(model_kind: str, catalog: Catalog) -> list[float]:
     """The MLE of the walked coordinates, or zeros when the fit fails."""
-    from . import fit as _fit  # deferred: avoid cycle at import time
-
     try:
         if model_kind == "aggregate":
-            r = _fit.fit_aggregate(catalog)
+            r = fit.fit_aggregate(catalog)
             return [math.log(r.estimates["beta"])]
-        r = _fit.fit_regression(catalog)
+        r = fit.fit_regression(catalog)
         return [
             math.log(r.estimates["beta"]),
             r.estimates["gamma_alpha"],
             r.estimates["gamma_beta"],
         ]
-    except _fit.FitError:
+    except fit.FitError:
         return [0.0] * len(WALKED[model_kind])
 
 
@@ -388,9 +377,8 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
         "model_kind": chain.model_kind,
         "acceptance_rate": chain.acceptance_rate,
         "rng_algorithm": chain.rng_algorithm,
-        "prior": {"a": chain.prior.a, "b": chain.prior.b,
-                  "c": chain.prior.c, "d": chain.prior.d},
-        "config": chain.config.to_dict(),
+        "prior": asdict(chain.prior),
+        "config": asdict(chain.config),
     }
     if chain.proposal_cholesky is not None:
         meta["proposal"] = {
@@ -405,8 +393,9 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
 def load_chain(csv_path, meta_path) -> PosteriorChain:
     """Read a chain written by ``save_chain``.  Raises ValueError naming
     the file when the sidecar's schema is not domecast/v1, its proposal
-    is not over the model's walked coordinates, or the CSV header is not
-    the parameter list of the sidecar's model_kind."""
+    is not over the model's walked coordinates, the CSV header is not
+    the parameter list of the sidecar's model_kind, or the CSV holds no
+    draws, ragged rows, a non-finite value or an alpha or beta <= 0."""
     with open(meta_path) as fh:
         meta = json.load(fh)
     if meta.get("schema") != SCHEMA:
@@ -434,20 +423,26 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
                 f"{meta_path}: proposal is not a square factor over the {kind} "
                 f"model's walked coordinates {coords}"
             )
-    draws = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no rows is refused below
+            draws = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None
+    if draws.shape[0] == 0 or draws.shape[1] != len(names):
+        raise ValueError(
+            f"{csv_path}: expected rows of {len(names)} values, got shape {draws.shape}"
+        )
+    if not (np.isfinite(draws).all() and (draws[:, :2] > 0).all()):
+        raise ValueError(f"{csv_path}: draws must be finite, alpha and beta > 0")
     cfg = meta["config"]
+    scales = cfg.get("proposal_scales")
     return PosteriorChain(
         draws=draws,
         param_names=names,
         acceptance_rate=meta["acceptance_rate"],
         config=McmcConfig(
-            seed=cfg["seed"],
-            burn_in=cfg["burn_in"],
-            iterations=cfg["iterations"],
-            thin=cfg["thin"],
-            proposal_scales=None
-            if cfg.get("proposal_scales") is None
-            else tuple(cfg["proposal_scales"]),
+            **{**cfg, "proposal_scales": None if scales is None else tuple(scales)}
         ),
         model_kind=kind,
         prior=PriorSpec(**meta["prior"]),

@@ -22,14 +22,13 @@ import numpy as np
 from . import bayes, fit, forecast, gof, simulate
 from .catalog import (
     Catalog,
-    CatalogError,
     CompositionClass,
     parse_catalog,
     serialize_catalog,
     summarize,
 )
-from .likelihood import RegressionParams
-from .pareto import ExpParams, GPaParams, exp_quantile, quantile, survival
+from .likelihood import SILICA_CENTER, RegressionParams
+from .pareto import ExpParams, GPaParams, condition_on_age, exp_quantile, quantile, survival
 
 DAYS_PER_YEAR = 365.25
 
@@ -47,6 +46,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 class DataError(Exception):
+    pass
+
+
+class UsageError(Exception):
     pass
 
 
@@ -79,12 +82,47 @@ def _load_catalog(path: str, days: bool = False) -> Catalog:
     return cat
 
 
-def _load_fit_json(path: str) -> dict:
+# model_kind -> (parameter class, its estimate keys in argument order)
+_FIT_MODELS = {
+    "aggregate": (GPaParams, ("alpha", "beta")),
+    "grouped": (GPaParams, ("alpha", "beta")),
+    "exponential": (ExpParams, ("lambda",)),
+    "grouped-exponential": (ExpParams, ("lambda",)),
+    "regression": (RegressionParams, ("alpha", "beta", "gamma_alpha", "gamma_beta")),
+}
+
+
+def _model_from_fit_doc(path: str):
+    """(parameters, number fitted) from a FitResult JSON file, the one
+    reader of fit.json; DataError names the file and the key at fault."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read fit JSON {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"fit JSON {path!r} is not an object")
+    kind = doc.get("model_kind")
+    if kind not in _FIT_MODELS:
+        raise DataError(f"unsupported model_kind {kind!r} in fit JSON {path!r}")
+    cls, keys = _FIT_MODELS[kind]
+    est = doc.get("estimates", {})
+    try:
+        return cls(*(est[key] for key in keys)), len(keys)
+    except KeyError as exc:
+        raise DataError(f"fit JSON {path!r} has no estimate {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"fit JSON {path!r}: {exc}") from None
+
+
+def _pinned(model, silica: Optional[float], missing: Optional[str] = None):
+    """The fitted distribution: a regression fit taken at ``silica``,
+    with DataError(missing) when there is none."""
+    if not isinstance(model, RegressionParams):
+        return model
+    if silica is None:
+        raise DataError(missing or "regression fit needs --silica to pin the model")
+    return model.at_silica(silica)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -118,36 +156,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _model_from_fit_doc(doc: dict, silica: Optional[float] = None):
-    """(quantile_fn, k_fitted, label) from a FitResult JSON document."""
-    kind = doc.get("model_kind")
-    est = doc.get("estimates", {})
-    if kind in ("aggregate", "grouped"):
-        p = GPaParams(est["alpha"], est["beta"])
-        return (lambda q: float(quantile(p, q))), 2, p
-    if kind in ("exponential", "grouped-exponential"):
-        p = ExpParams(est["lambda"])
-        return (lambda q: float(exp_quantile(p, q))), 1, p
-    if kind == "regression":
-        if silica is None:
-            raise DataError("regression fit needs --silica to pin the model")
-        rp = RegressionParams(
-            est["alpha"], est["beta"], est["gamma_alpha"], est["gamma_beta"]
-        )
-        p = rp.at_silica(silica)
-        return (lambda q: float(quantile(p, q))), 4, p
-    raise DataError(f"unsupported model_kind {kind!r} in fit JSON")
-
-
 def cmd_gof(args) -> int:
     cat = _load_catalog(args.catalog).completed_only()
-    doc = _load_fit_json(args.fit)
-    quantile_fn, k_fitted, _ = _model_from_fit_doc(doc, args.silica)
-    try:
-        report = gof.gof_test(cat, quantile_fn, k_fitted, n_bins=args.bins)
-    except gof._BinCountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    model, k_fitted = _model_from_fit_doc(args.fit)
+    p = _pinned(model, args.silica)
+    inverse_cdf = exp_quantile if isinstance(p, ExpParams) else quantile
+    report = gof.gof_test(
+        cat, lambda q: float(inverse_cdf(p, q)), k_fitted, n_bins=args.bins
+    )
     _write_json(os.path.join(args.out, "gof.json"), report.to_dict())
     return EXIT_OK
 
@@ -169,6 +185,8 @@ def cmd_posterior(args) -> int:
 
 def cmd_forecast(args) -> int:
     s = args.age / DAYS_PER_YEAR if args.days else args.age
+    t_grid = _parse_grid(args.grid) if args.grid else None
+    quartiles = curve = draw_curves = None
     if args.chain:
         meta_path = args.chain_meta or os.path.join(
             os.path.dirname(args.chain) or ".", "chain_meta.json"
@@ -178,76 +196,57 @@ def cmd_forecast(args) -> int:
         except OSError as exc:
             raise DataError(f"cannot read chain: {exc}") from exc
         if chain.model_kind == "regression" and args.silica is None:
-            print(
-                "error: --silica is required for a regression chain",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise UsageError("--silica is required for a regression chain")
         if args.quartiles:
-            q25, q50, q75 = forecast.predictive_quartiles(
+            quartiles = forecast.predictive_quartiles(
                 chain, s, args.silica, per_draw=args.per_draw
             )
-            _write_json(
-                os.path.join(args.out, "quartiles.json"),
-                {"mode": "bayes", "age_s": s, "q25": q25, "q50": q50, "q75": q75},
-            )
-        if args.grid:
-            t_grid = _parse_grid(args.grid)
-            curve = forecast.predictive_curve(chain, s, args.silica, t_grid)
-            _write_curve(args.out, curve)
+        if t_grid is not None:
+            c = forecast.predictive_curve(chain, s, args.silica, t_grid)
+            curve = [c.mean_probability, c.band_low, c.band_high, c.plug_in_probability]
+            draw_curves = c.draw_curves
+        meta = {
+            "mode": "bayes",
+            "age_s": s,
+            "model_kind": chain.model_kind,
+            "band_level": forecast.BAND_LEVEL,
+        }
     else:
-        doc = _load_fit_json(args.fit)
-        _, _, model = _model_from_fit_doc(doc, args.silica)
-        if isinstance(model, ExpParams):
+        model, _ = _model_from_fit_doc(args.fit)
+        p = _pinned(model, args.silica)
+        if isinstance(p, ExpParams):
             raise DataError("plug-in forecasts require a Pareto-family fit")
         if args.quartiles:
-            q25, q50, q75 = (
-                forecast.plugin_remaining_quantile(model, s, q)
-                for q in (0.25, 0.50, 0.75)
-            )
-            _write_json(
-                os.path.join(args.out, "quartiles.json"),
-                {"mode": "plugin", "age_s": s, "q25": q25, "q50": q50, "q75": q75},
-            )
-        if args.grid:
-            t_grid = _parse_grid(args.grid)
-            probs = survival(GPaParams(model.alpha, model.beta + s), t_grid)
-            lines = ["t,mean,low,high,plug_in"]
-            for t, p in zip(t_grid, probs):
-                lines.append(f"{t},{p},{p},{p},{p}")
-            _atomic_write(
-                os.path.join(args.out, "forecast.csv"), "\n".join(lines) + "\n"
-            )
-            _write_json(
-                os.path.join(args.out, "forecast_meta.json"),
-                {"mode": "plugin", "age_s": s, "band_level": None},
-            )
+            quartiles = [
+                forecast.plugin_remaining_quantile(p, s, q) for q in (0.25, 0.50, 0.75)
+            ]
+        if t_grid is not None:
+            curve = [survival(condition_on_age(p, s), t_grid)] * 4
+        meta = {"mode": "plugin", "age_s": s, "band_level": None}
+    _write_forecast(args.out, meta, quartiles, t_grid, curve, draw_curves)
     return EXIT_OK
 
 
-def _write_curve(out_dir: str, curve: forecast.ForecastCurve) -> None:
+def _write_forecast(out_dir, meta, quartiles, t_grid, curve, draw_curves) -> None:
+    """The one writer of forecast outputs: quartiles.json when quartiles
+    are given; forecast.csv (columns t and the four of ``curve``: mean,
+    low, high, plug_in) with forecast_meta.json when a grid is; and
+    forecast_draws.csv when per-draw curves are."""
+    if quartiles is not None:
+        doc = {key: meta[key] for key in ("mode", "age_s")}
+        doc.update(zip(("q25", "q50", "q75"), quartiles))
+        _write_json(os.path.join(out_dir, "quartiles.json"), doc)
+    if curve is None:
+        return
     lines = ["t,mean,low,high,plug_in"]
-    for i, t in enumerate(curve.t_grid):
-        lines.append(
-            f"{t},{curve.mean_probability[i]},{curve.band_low[i]},"
-            f"{curve.band_high[i]},{curve.plug_in_probability[i]}"
-        )
+    lines += (",".join(map(str, row)) for row in zip(t_grid, *curve))
     _atomic_write(os.path.join(out_dir, "forecast.csv"), "\n".join(lines) + "\n")
-    _write_json(
-        os.path.join(out_dir, "forecast_meta.json"),
-        {
-            "mode": "bayes",
-            "age_s": curve.eruption_age_s,
-            "model_kind": curve.model_kind,
-            "band_level": curve.band_level,
-        },
-    )
-    draw_lines = [",".join(str(t) for t in curve.t_grid)]
-    for row in curve.draw_curves:
-        draw_lines.append(",".join(str(v) for v in row))
-    _atomic_write(
-        os.path.join(out_dir, "forecast_draws.csv"), "\n".join(draw_lines) + "\n"
-    )
+    _write_json(os.path.join(out_dir, "forecast_meta.json"), meta)
+    if draw_curves is not None:
+        draw_lines = [",".join(map(str, row)) for row in (t_grid, *draw_curves)]
+        _atomic_write(
+            os.path.join(out_dir, "forecast_draws.csv"), "\n".join(draw_lines) + "\n"
+        )
 
 
 def _sim_spec_from_args(args) -> simulate.SimSpec:
@@ -288,7 +287,7 @@ def cmd_empirical(args) -> int:
     fractions, fitted model curves, and median-shift segments for
     ongoing records."""
     cat = _load_catalog(args.catalog, days=args.days)
-    doc = _load_fit_json(args.fit) if args.fit else None
+    model = _model_from_fit_doc(args.fit)[0] if args.fit else None
 
     lines = ["class,duration,fraction_exceeding"]
     groups = {"all": cat}
@@ -301,27 +300,13 @@ def cmd_empirical(args) -> int:
             lines.append(f"{label},{d},{(n - i) / n}")
     _atomic_write(os.path.join(args.out, "empirical.csv"), "\n".join(lines) + "\n")
 
-    if doc is not None:
-        est = doc.get("estimates", {})
-        kind = doc.get("model_kind")
+    if model is not None:
         curve_lines = ["t,survival"]
         seg_lines = ["volcano,class,age_s,median_shift"]
-        t_max = float(cat.duration.max())
-        t_grid = np.logspace(-3, np.log10(2 * t_max), 200)
-
-        def params_for(name, silica):
-            if kind == "regression":
-                if math.isnan(silica):
-                    raise DataError(
-                        f"record {name!r} lacks silica for regression median shift"
-                    )
-                return RegressionParams(
-                    est["alpha"], est["beta"], est["gamma_alpha"], est["gamma_beta"]
-                ).at_silica(silica)
-            return GPaParams(est["alpha"], est["beta"])
-
-        base = GPaParams(est["alpha"], est["beta"]) if kind != "exponential" else None
-        if base is not None:
+        if not isinstance(model, ExpParams):
+            t_max = float(cat.duration.max())
+            t_grid = np.logspace(-3, np.log10(2 * t_max), 200)
+            base = _pinned(model, SILICA_CENTER)
             for t, p in zip(t_grid, survival(base, t_grid)):
                 curve_lines.append(f"{t},{p}")
             ongoing = cat.censored
@@ -331,7 +316,9 @@ def cmd_empirical(args) -> int:
                 cat.duration[ongoing].tolist(),
                 cat.silica[ongoing].tolist(),
             ):
-                shift = forecast.plugin_median_shift(params_for(name, silica), age)
+                missing = f"record {name!r} lacks silica for regression median shift"
+                p = _pinned(model, None if math.isnan(silica) else silica, missing)
+                shift = forecast.plugin_median_shift(p, age)
                 seg_lines.append(f"{name},{comp.value},{age},{shift}")
         _atomic_write(
             os.path.join(args.out, "model_curve.csv"), "\n".join(curve_lines) + "\n"
@@ -465,10 +452,11 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except (CatalogError, DataError, bayes.ImproperPosteriorError) as exc:
+    except (UsageError, gof._BinCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+        return EXIT_USAGE
+    except (DataError, ValueError) as exc:
+        # CatalogError and bayes.ImproperPosteriorError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bayes import PosteriorChain
-from .likelihood import SILICA_CENTER
-from .pareto import GPaParams, condition_on_age, quantile
+from .likelihood import _at_silica
+from .pareto import GPaParams, condition_on_age, quantile, survival
 
 __all__ = [
     "BracketError",
@@ -79,15 +79,11 @@ def _check_nonneg_finite(name: str, v: float) -> None:
 
 def _draw_params(chain: PosteriorChain, silica: Optional[float]):
     """Per-draw (alpha', beta') arrays, silica-adjusted for regression chains."""
-    alpha = chain.column("alpha")
-    beta = chain.column("beta")
-    if chain.model_kind == "regression":
-        if silica is None:
-            raise ValueError("silica is required for forecasts from a regression chain")
-        dx = silica - SILICA_CENTER
-        alpha = alpha * np.exp(chain.column("gamma_alpha") * dx)
-        beta = beta * np.exp(chain.column("gamma_beta") * dx)
-    return alpha, beta
+    if chain.model_kind != "regression":
+        return chain.column("alpha"), chain.column("beta")
+    if silica is None:
+        raise ValueError("silica is required for forecasts from a regression chain")
+    return _at_silica(*(chain.column(name) for name in chain.param_names), silica)
 
 
 def _exceedance(alpha, beta, s: float):
@@ -156,13 +152,12 @@ def predictive_curve(
             block, [lo_q, 1 - lo_q], axis=1, overwrite_input=True
         )
     plug = GPaParams(float(alpha.mean()), float(beta.mean()))
-    plug_curve = np.exp(-plug.alpha * np.log1p(t / (plug.beta + s)))
     return ForecastCurve(
         t_grid=t,
         mean_probability=mean,
         band_low=band[0],
         band_high=band[1],
-        plug_in_probability=plug_curve,
+        plug_in_probability=survival(condition_on_age(plug, s), t),
         draw_curves=draw_curves,
         eruption_age_s=s,
         model_kind=chain.model_kind,

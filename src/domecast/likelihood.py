@@ -7,18 +7,19 @@ survival factor.  For the two-parameter model
 
 with delta_i = 1 uncensored, 0 censored.  The regression variant replaces
 (alpha, beta) with per-record log-linear functions of silica centered at
-60 percent.
+60 percent.  ``_at_silica`` is the one silica map: fits' parameters,
+posterior draws and simulated records all shift through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import Catalog
+from .catalog import SILICA_MAX, SILICA_MIN, Catalog
 from .pareto import ExpParams, GPaParams
 
 __all__ = [
@@ -57,11 +58,22 @@ class RegressionParams:
                 raise ValueError(f"{name} must be finite")
 
     def at_silica(self, x: float) -> GPaParams:
-        dx = x - SILICA_CENTER
-        return GPaParams(
-            self.alpha * math.exp(self.gamma_alpha * dx),
-            self.beta * math.exp(self.gamma_beta * dx),
+        alpha, beta = _at_silica(*astuple(self), x)
+        return GPaParams(float(alpha), float(beta))
+
+
+def _at_silica(alpha, beta, gamma_alpha, gamma_beta, x):
+    """(alpha e^(gamma_alpha (x-60)), beta e^(gamma_beta (x-60))),
+    elementwise over arrays of draws or of records.  Raises ValueError
+    unless every x lies in the catalog's [SILICA_MIN, SILICA_MAX]."""
+    x = np.asarray(x, dtype=float)
+    outside = ~((x >= SILICA_MIN) & (x <= SILICA_MAX))
+    if outside.any():
+        raise ValueError(
+            f"silica {x[outside].flat[0]} outside [{SILICA_MIN}, {SILICA_MAX}] percent"
         )
+    dx = x - SILICA_CENTER
+    return alpha * np.exp(gamma_alpha * dx), beta * np.exp(gamma_beta * dx)
 
 
 def catalog_arrays(catalog: Catalog, require_silica: bool = False):

@@ -8,13 +8,14 @@ the same selection effect that biases completed-only estimates downward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Union
 
 import numpy as np
 
+from . import fit
 from .catalog import Catalog, CompositionClass
-from .likelihood import RegressionParams
+from .likelihood import RegressionParams, _at_silica
 from .pareto import ExpParams, GPaParams
 
 __all__ = ["SimSpec", "generate", "recovery_study", "RecoveryReport"]
@@ -56,21 +57,19 @@ def _sample_true_durations(spec: SimSpec, rng: np.random.Generator):
     u = rng.random(spec.n)
     silica = np.full(spec.n, np.nan)
     classes = [CompositionClass.INTERMEDIATE] * spec.n
-    if isinstance(spec.model, GPaParams):
-        t = spec.model.beta * np.expm1(-np.log(u) / spec.model.alpha)
-    elif isinstance(spec.model, ExpParams):
-        t = -np.log(u) / spec.model.lam
-    elif isinstance(spec.model, RegressionParams):
+    model = spec.model
+    if isinstance(model, ExpParams):
+        return -np.log(u) / model.lam, silica, classes
+    if isinstance(model, GPaParams):
+        a, b = model.alpha, model.beta
+    elif isinstance(model, RegressionParams):
         idx = rng.choice(len(SILICA_POINTS), size=spec.n, p=SILICA_WEIGHTS)
         silica = np.array(SILICA_POINTS)[idx]
         classes = np.array(SILICA_CLASSES, dtype=object)[idx]
-        dx = silica - 60.0
-        ai = spec.model.alpha * np.exp(spec.model.gamma_alpha * dx)
-        bi = spec.model.beta * np.exp(spec.model.gamma_beta * dx)
-        t = bi * np.expm1(-np.log(u) / ai)
+        a, b = _at_silica(*astuple(model), silica)
     else:
-        raise TypeError(f"unsupported generating model {type(spec.model)}")
-    return t, silica, classes
+        raise TypeError(f"unsupported generating model {type(model)}")
+    return b * np.expm1(-np.log(u) / a), silica, classes
 
 
 def generate(spec: SimSpec, rng: Optional[np.random.Generator] = None) -> Catalog:
@@ -142,8 +141,6 @@ def _truth_map(model) -> dict:
 def recovery_study(spec: SimSpec, replications: int) -> RecoveryReport:
     """Generate-and-refit study: per-parameter bias, RMSE and coverage of
     nominal 95% Wald intervals across seeded replications."""
-    from . import fit as _fit
-
     if replications < 10:
         raise ValueError("need at least 10 replications")
     truth = _truth_map(spec.model)
@@ -158,12 +155,12 @@ def recovery_study(spec: SimSpec, replications: int) -> RecoveryReport:
         cat = generate(spec, rng)
         try:
             if isinstance(spec.model, GPaParams):
-                result = _fit.fit_aggregate(cat)
+                result = fit.fit_aggregate(cat)
             elif isinstance(spec.model, ExpParams):
-                result = _fit.fit_exponential(cat)
+                result = fit.fit_exponential(cat)
             else:
-                result = _fit.fit_regression(cat)
-        except _fit.FitError:
+                result = fit.fit_regression(cat)
+        except fit.FitError:
             failures += 1
             continue
         for k in names:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -399,3 +400,39 @@ def test_alpha_draws_follow_gamma_conditional(kind, silica_catalog):
     shape = prior.a + silica_catalog.n1
     assert abs(scaled.mean() - shape) < 4 * math.sqrt(shape / len(scaled))
     assert stats.kstest(scaled, "gamma", args=(shape,)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "",  # header only
+        "0.6,0.7\nnan,0.7\n",
+        "0.6,0.7\n0.6,inf\n",
+        "0.6,0.7\n0.6,-0.7\n",
+        "0.0,0.7\n",
+        "0.6,0.7\n0.6,0.7,0.1\n",  # ragged
+        "0.6,0.7,0.1\n0.6,0.7,0.1\n",  # more values than names
+        "0.6,x\n",
+    ],
+)
+def test_load_chain_refuses_malformed_draws(tmp_path, short_chain, rows):
+    csv_path, meta_path = _saved_chain(tmp_path, short_chain)
+    csv_path.write_text("alpha,beta\n" + rows)
+    with pytest.raises(ValueError, match=r"chain\.csv"):
+        load_chain(csv_path, meta_path)
+
+
+def test_chain_sidecar_round_trip_keeps_bytes(tmp_path, short_chain):
+    csv_path, meta_path = tmp_path / "chain.csv", tmp_path / "chain_meta.json"
+    config = McmcConfig(seed=5, burn_in=3000, iterations=30_000, thin=30,
+                        proposal_scales=(0.2,))
+    chain = dataclasses.replace(short_chain, config=config, prior=PriorSpec(1, 2, 3, 4))
+    save_chain(chain, csv_path, meta_path)
+    loaded = load_chain(csv_path, meta_path)
+    assert loaded.config == config
+    assert loaded.prior == PriorSpec(1, 2, 3, 4)
+    again = tmp_path / "again"
+    again.mkdir()
+    save_chain(loaded, again / "chain.csv", again / "chain_meta.json")
+    assert (again / "chain_meta.json").read_bytes() == meta_path.read_bytes()
+    assert (again / "chain.csv").read_bytes() == csv_path.read_bytes()

@@ -285,3 +285,96 @@ def test_forecast_refuses_non_finite_grid(tmp_path, sim_catalog, chain_csv, grid
     assert run(["forecast", "--fit", fit_out / "fit.json", "--age", 2.0,
                 "--grid", grid, "--out", out]) == 2
     assert not (out / "forecast.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def regression_fit_and_chain(tmp_path_factory):
+    work = tmp_path_factory.mktemp("regression")
+    assert run(["simulate", "--alpha", 0.65, "--beta", 0.70,
+                "--gamma-alpha", 0.05, "--gamma-beta", 0.13,
+                "--n", 200, "--seed", 32, "--out", work]) == 0
+    assert run(["fit", work / "catalog.csv", "--model", "regression",
+                "--out", work]) == 0
+    assert run(["posterior", work / "catalog.csv", "--model", "regression",
+                "--burn-in", 500, "--iters", 2000, "--thin", 20,
+                "--seed", 6, "--out", work]) == 0
+    return {"--fit": work / "fit.json", "--chain": work / "chain.csv"}
+
+
+@pytest.mark.parametrize("mode", ["--chain", "--fit"])
+@pytest.mark.parametrize("silica", ["nan", "inf", "1e6", "20"])
+def test_forecast_refuses_silica_outside_catalog_range(
+    tmp_path, regression_fit_and_chain, mode, silica
+):
+    out = tmp_path / "fc"
+    assert run(["forecast", mode, regression_fit_and_chain[mode], "--age", 1.0,
+                "--silica", silica, "--quartiles", "--grid", "0:50:11",
+                "--out", out]) == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["--chain", "--fit"])
+def test_forecast_writes_nothing_before_a_bad_grid(tmp_path, regression_fit_and_chain, mode):
+    out = tmp_path / "fc"
+    assert run(["forecast", mode, regression_fit_and_chain[mode], "--age", 1.0,
+                "--silica", 58, "--quartiles", "--grid", "0:nan:5",
+                "--out", out]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_empirical_grouped_exponential_fit(tmp_path, sim_catalog):
+    fit_out = tmp_path / "fit"
+    assert run(["fit", sim_catalog, "--model", "grouped", "--class", "intermediate",
+                "--family", "exponential", "--out", fit_out]) == 0
+    out = tmp_path / "emp"
+    assert run(["empirical", sim_catalog, "--fit", fit_out / "fit.json",
+                "--out", out]) == 0
+    assert (out / "model_curve.csv").read_text() == "t,survival\n"
+    assert (out / "segments.csv").read_text() == "volcano,class,age_s,median_shift\n"
+
+
+@pytest.mark.parametrize(
+    "doc,fault",
+    [
+        ('{"model_kind": "aggregate", "estimates": {"alpha": 0.6}}', "'beta'"),
+        ('{"model_kind": "regression", "estimates": {"alpha": 0.6, "beta": 1}}',
+         "'gamma_alpha'"),
+        ("[1, 2]", "not an object"),
+        ('{"model_kind": "aggregate", "estimates": {"alpha": -1, "beta": 1}}',
+         "alpha must be finite"),
+    ],
+)
+@pytest.mark.parametrize("command", ["gof", "forecast", "empirical"])
+def test_malformed_fit_json_is_data_error(tmp_path, capsys, sim_catalog, doc, fault,
+                                         command):
+    bad = tmp_path / "fit.json"
+    bad.write_text(doc)
+    args = {
+        "gof": ["gof", sim_catalog, "--fit", bad, "--silica", 58],
+        "forecast": ["forecast", "--fit", bad, "--age", 1.0, "--silica", 58,
+                     "--quartiles"],
+        "empirical": ["empirical", sim_catalog, "--fit", bad],
+    }[command]
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and fault in err
+    assert not (out / "quartiles.json").exists()
+    assert not (out / "gof.json").exists()
+
+
+def test_forecast_refuses_chain_without_draws(tmp_path, chain_csv):
+    chain_csv.write_text("alpha,beta\n")
+    out = tmp_path / "fc"
+    assert run(["forecast", "--chain", chain_csv, "--age", 2.0,
+                "--quartiles", "--out", out]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_gof_bin_count_refusal_message(tmp_path, capsys, sim_catalog):
+    fit_out = tmp_path / "fit"
+    assert run(["fit", sim_catalog, "--out", fit_out]) == 0
+    capsys.readouterr()
+    assert run(["gof", sim_catalog, "--fit", fit_out / "fit.json",
+                "--bins", 2, "--out", tmp_path / "gof"]) == 1
+    assert capsys.readouterr().err == "error: n_bins must be >= 3, got 2\n"

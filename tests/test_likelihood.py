@@ -184,3 +184,21 @@ def test_regression_kernel_matches_per_record_oracle(silica_catalog):
     assert profile_alpha_regression(silica_catalog, beta, ga, gb) == pytest.approx(
         silica_catalog.n1 / weighted_sum, rel=1e-12
     )
+
+
+def test_silica_map_is_elementwise_and_refuses_x_outside_catalog_range():
+    from domecast.likelihood import _at_silica
+
+    p = RegressionParams(0.65, 0.7, 0.04, 0.13)
+    x = np.array([30.0, 50.0, 58.2, 60.0, 67.0, 90.0])
+    alpha, beta = _at_silica(0.65, 0.7, 0.04, 0.13, x)
+    np.testing.assert_array_equal(alpha, 0.65 * np.exp(0.04 * (x - 60.0)))
+    np.testing.assert_array_equal(beta, 0.7 * np.exp(0.13 * (x - 60.0)))
+    for xi, a, b in zip(x, alpha, beta):
+        assert p.at_silica(xi) == GPaParams(a, b)
+    assert p.at_silica(60.0) == GPaParams(0.65, 0.7)
+    for bad in (math.nan, math.inf, -math.inf, 29.99, 90.01, 1e6):
+        with pytest.raises(ValueError, match="outside"):
+            p.at_silica(bad)
+        with pytest.raises(ValueError, match="outside"):
+            _at_silica(alpha, beta, 0.04, 0.13, np.array([58.0, bad]))
