@@ -213,17 +213,13 @@ def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
 def _start_point(model_kind: str, catalog: Catalog) -> list[float]:
     """The MLE of the walked coordinates, or zeros when the fit fails."""
     try:
-        if model_kind == "aggregate":
-            r = fit.fit_aggregate(catalog)
-            return [math.log(r.estimates["beta"])]
-        r = fit.fit_regression(catalog)
-        return [
-            math.log(r.estimates["beta"]),
-            r.estimates["gamma_alpha"],
-            r.estimates["gamma_beta"],
-        ]
+        estimates = getattr(fit, f"fit_{model_kind}")(catalog).estimates
     except fit.FitError:
         return [0.0] * len(WALKED[model_kind])
+    return [
+        math.log(estimates["beta"]) if name == "log_beta" else estimates[name]
+        for name in WALKED[model_kind]
+    ]
 
 
 def _walk(rng, log_target, state, chol, out, thin=1):

@@ -184,6 +184,8 @@ def cmd_posterior(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    if not (args.quartiles or args.grid):
+        raise UsageError("nothing to forecast: give --quartiles, --grid or both")
     s = args.age / DAYS_PER_YEAR if args.days else args.age
     t_grid = _parse_grid(args.grid) if args.grid else None
     quartiles = curve = draw_curves = None
@@ -285,7 +287,7 @@ def cmd_recovery(args) -> int:
 def cmd_empirical(args) -> int:
     """Emit plain-CSV plotting data: per-class empirical exceedance
     fractions, fitted model curves, and median-shift segments for
-    ongoing records."""
+    ongoing records.  A refused median shift leaves no file behind."""
     cat = _load_catalog(args.catalog, days=args.days)
     model = _model_from_fit_doc(args.fit)[0] if args.fit else None
 
@@ -298,7 +300,6 @@ def cmd_empirical(args) -> int:
         n = len(durations)
         for i, d in enumerate(durations):
             lines.append(f"{label},{d},{(n - i) / n}")
-    _atomic_write(os.path.join(args.out, "empirical.csv"), "\n".join(lines) + "\n")
 
     if model is not None:
         curve_lines = ["t,survival"]
@@ -326,7 +327,7 @@ def cmd_empirical(args) -> int:
         _atomic_write(
             os.path.join(args.out, "segments.csv"), "\n".join(seg_lines) + "\n"
         )
-
+    _atomic_write(os.path.join(args.out, "empirical.csv"), "\n".join(lines) + "\n")
     summary = dataclasses.asdict(summarize(cat))
     _write_json(os.path.join(args.out, "summary.json"), summary)
     return EXIT_OK

@@ -3,13 +3,14 @@
 Both Pareto-family fits profile alpha out and seek the least profile NLLH
 by Newton's method on its closed-form gradient and Hessian
 (``_Kernel.profile_derivatives``, one pass over the data per point),
-inside an explicit search box: log beta in [LOG_BETA_LO, LOG_BETA_HI] and
-|gamma| <= GAMMA_BOUND.  The aggregate fit searches log beta inside the
-bracket of a 100-point audit grid; the regression fit searches
-(log beta, gamma_alpha, gamma_beta) from several starts.  Their standard
-errors come from the analytic observed information on the working
-(log-positive) scale, mapped back by the delta method; the exponential
-fit's are closed form.
+through one search (``_pareto_fit``) over one box: log beta in
+[LOG_BETA_LO, LOG_BETA_HI] and |gamma| <= GAMMA_BOUND.  The fits differ
+only in their starts: the aggregate fit starts log beta from the best
+point of a 100-point audit grid, the regression fit starts
+(log beta, gamma_alpha, gamma_beta) from several points.  An optimum on
+the box is noted and is not converged.  Standard errors come from the
+analytic observed information on the working (log-positive) scale,
+mapped back by the delta method; the exponential fit's are closed form.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ HALVINGS = 40  # step halvings before a start gives up
 GRAD_TOL = 1e-10  # converged when |projected gradient| <= GRAD_TOL n1
 ROUNDING = 1e-12  # P values within ROUNDING n1 of each other are tied
 CURVATURE_FLOOR = 1e-10  # relative floor on |eigenvalues| of the Newton Hessian
+# The estimates each model searches as theta = (log beta[, gammas]), and the
+# search box over theta, sliced to the model's coordinates.
+_COORDS = {"aggregate": ("beta",), "regression": ("beta", "gamma_alpha", "gamma_beta")}
+_BOX_LO = np.array([LOG_BETA_LO, -GAMMA_BOUND, -GAMMA_BOUND])
+_BOX_HI = np.array([LOG_BETA_HI, GAMMA_BOUND, GAMMA_BOUND])
 
 
 class FitError(RuntimeError):
@@ -59,7 +65,7 @@ class FitError(RuntimeError):
 
 
 class HessianError(RuntimeError):
-    """Hessian at the MLE is not positive definite; SEs undefined."""
+    """Hessian at the MLE is singular or not positive definite; SEs undefined."""
 
 
 @dataclass(frozen=True)
@@ -174,14 +180,15 @@ def standard_errors(
 
 
 def _inverse_sd(H: np.ndarray) -> np.ndarray:
-    """sqrt(diag(H^-1)) from the eigendecomposition of H, which stays
-    defined however badly H is conditioned; HessianError unless H is
-    positive definite."""
+    """sqrt(diag(H^-1)) from the eigendecomposition of H; HessianError
+    unless every eigenvalue exceeds CURVATURE_FLOOR times the largest, so
+    a singular H whose null eigenvalues round to tiny positive values is
+    refused too."""
     eigvals, vecs = np.linalg.eigh(H)
-    if not np.all(eigvals > 0):
+    if not eigvals[0] > CURVATURE_FLOOR * eigvals[-1]:
         raise HessianError(
-            f"Hessian not positive definite (eigenvalues {eigvals.tolist()}); "
-            "standard errors undefined"
+            f"Hessian singular or not positive definite (eigenvalues "
+            f"{eigvals.tolist()}); standard errors undefined"
         )
     return np.sqrt(vecs**2 @ (1.0 / eigvals))
 
@@ -251,57 +258,16 @@ def _box_newton(kernel: _Kernel, x, lo, hi):
 def fit_aggregate(catalog: Catalog) -> FitResult:
     """Profile-likelihood fit of the two-parameter heavy-tailed model.
 
-    Newton search on log beta inside the bracket of the best point of a
-    100-point audit grid, with alpha profiled out in closed form.  A fit
-    at a grid end or without standard errors is not ``converged``.
+    Newton search on log beta over the search box from the best point of
+    a 100-point audit grid, with alpha profiled out in closed form.
     ``iterations`` counts kernel passes, grid included.
     """
-    t, delta, _ = catalog_arrays(catalog)
-    kernel = _Kernel(t, delta)
-    n1 = int(kernel.n1)
-    if n1 < 2:
-        raise FitError(f"aggregate fit needs at least 2 uncensored records, got {n1}")
-
+    kernel = _kernel("aggregate", catalog)
     # One pass per grid point: a (100, n) array would cost tens of MB at n=1e4.
     grid = np.linspace(LOG_BETA_LO, LOG_BETA_HI, BETA_GRID_POINTS)
     vals = [kernel.profile(math.exp(g))[1] for g in grid]
-    i_best = int(np.argmin(vals))
-    lo = grid[max(i_best - 1, 0)]
-    hi = grid[min(i_best + 1, len(grid) - 1)]
-    y, d, passes, ok = _box_newton(kernel, [grid[i_best]], lo, hi)
-    if not ok:
-        raise FitError(f"beta search failed in [{math.exp(lo):g}, {math.exp(hi):g}]")
-    estimates = {"alpha": d.alpha, "beta": math.exp(y[0])}
-
-    se, notes = _se_from_information(d, estimates)
-    at_bound = i_best in (0, len(grid) - 1)
-    if at_bound:
-        notes += (_boundary_note(i_best == 0, math.exp(grid[i_best])),)
-    return FitResult(
-        model_kind="aggregate",
-        estimates=estimates,
-        standard_errors=se,
-        nllh_at_mle=d.nllh,
-        n=catalog.n,
-        n1=n1,
-        k=2,
-        converged=not at_bound and se is not None,
-        iterations=len(grid) + passes,
-        notes=notes,
-    )
-
-
-def _boundary_note(lower: bool, bound: float) -> str:
-    if lower:
-        return (
-            f"beta at the lower search bound {bound:g}: no interior likelihood "
-            "maximum was found; the estimates are boundary values"
-        )
-    return (
-        f"beta at the upper search bound {bound:g}: the likelihood still rises "
-        "toward the exponential limit (beta -> inf with alpha/beta fixed); "
-        "compare fit_exponential"
-    )
+    start = grid[[int(np.argmin(vals))]]
+    return _pareto_fit("aggregate", catalog, kernel, [start], len(grid))
 
 
 def fit_exponential(catalog: Catalog) -> FitResult:
@@ -351,71 +317,85 @@ def fit_grouped(
 def fit_regression(catalog: Catalog) -> FitResult:
     """Log-linear silica regression fit.
 
-    Damped Newton over (log beta, gamma_alpha, gamma_beta) in the search
+    Newton search over (log beta, gamma_alpha, gamma_beta) in the search
     box, with the baseline alpha profiled out, from several starts.  One
     start is the aggregate solution at zero gammas and no accepted step
     raises the NLLH beyond rounding, so the fitted NLLH never exceeds the
-    aggregate fit's (the models are nested).  An optimum on the box is flagged in
-    ``notes`` and is not ``converged``; nor is one where the information
-    is singular (a flat ridge, whose estimates are one arbitrary point of
-    it), which has no ``standard_errors``.  ``iterations`` counts kernel
-    passes, the aggregate fit's excluded.
+    aggregate fit's (the models are nested).  ``iterations`` counts
+    kernel passes, the aggregate fit's excluded.
     """
-    kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
-    n1 = int(kernel.n1)
-    if n1 < 4:
-        raise FitError(f"regression fit needs at least 4 uncensored records, got {n1}")
-
-    agg = fit_aggregate(catalog)
-    starts = [
-        np.array([0.0, 0.0, 0.0]),
-        np.array([math.log(agg.estimates["beta"]), 0.0, 0.0]),
-    ]
+    kernel = _kernel("regression", catalog)
+    at_agg = np.array([math.log(fit_aggregate(catalog).estimates["beta"]), 0.0, 0.0])
     rng = np.random.default_rng(20160208)  # deterministic jittered restarts
-    for _ in range(RESTARTS - 1):
-        starts.append(starts[1] + rng.normal(scale=0.3, size=3))
+    jittered = [at_agg + rng.normal(scale=0.3, size=3) for _ in range(RESTARTS - 1)]
+    starts = [np.zeros(3), at_agg, *jittered]
+    return _pareto_fit("regression", catalog, kernel, starts, 0)
 
-    lo = np.array([LOG_BETA_LO, -GAMMA_BOUND, -GAMMA_BOUND])
-    hi = -lo
+
+def _kernel(kind: str, catalog: Catalog) -> _Kernel:
+    """The model's likelihood kernel; FitError unless the catalog has at
+    least as many uncensored records as the model has parameters."""
+    t, delta, x = catalog_arrays(catalog, require_silica=kind == "regression")
+    kernel = _Kernel(t, delta, x if kind == "regression" else None)
+    k = len(_COORDS[kind]) + 1
+    if kernel.n1 < k:
+        raise FitError(
+            f"{kind} fit needs at least {k} uncensored records, got {int(kernel.n1)}"
+        )
+    return kernel
+
+
+def _pareto_fit(kind, catalog, kernel, starts, passes) -> FitResult:
+    """The least converged profile NLLH that ``_box_newton`` finds from the
+    starts in the model's slice of the search box, as a FitResult; the
+    starts took ``passes`` kernel passes.  An optimum on the box is noted
+    and is not ``converged``; nor is one with singular information (a flat
+    ridge, of which the estimates are one arbitrary point), which has no
+    ``standard_errors``."""
+    names = _COORDS[kind]
+    lo, hi = _BOX_LO[: len(names)], _BOX_HI[: len(names)]
     best = None
-    total_passes = 0
     for s0 in starts:
-        x, d, passes, ok = _box_newton(kernel, s0, lo, hi)
-        total_passes += passes
+        x, d, used, ok = _box_newton(kernel, s0, lo, hi)
+        passes += used
         if ok and (best is None or d.nllh < best[1].nllh):
             best = x, d
     if best is None:
-        raise FitError("regression optimizer did not converge from any start")
+        raise FitError(f"{kind} fit did not converge from any start")
 
     x, d = best
-    estimates = {
-        "alpha": d.alpha,
-        "beta": math.exp(x[0]),
-        "gamma_alpha": float(x[1]),
-        "gamma_beta": float(x[2]),
-    }
+    estimates = {"alpha": d.alpha, "beta": math.exp(x[0])}
+    estimates.update(zip(names[1:], x[1:].tolist()))
     se, notes = _se_from_information(d, estimates)
     on_box = (x <= lo) | (x >= hi)
-    for j in np.flatnonzero(on_box):
-        name = ("beta", "gamma_alpha", "gamma_beta")[j]
-        bound = estimates[name]
-        notes += (
-            f"{name} at the {'upper' if x[j] >= hi[j] else 'lower'} bound "
-            f"{bound:g} of the search box: no interior likelihood maximum was "
-            "found; the estimates are boundary values",
-        )
+    notes += tuple(
+        _box_note(names[j], x[j] >= hi[j], estimates[names[j]])
+        for j in np.flatnonzero(on_box)
+    )
     return FitResult(
-        model_kind="regression",
+        model_kind=kind,
         estimates=estimates,
         standard_errors=se,
         nllh_at_mle=d.nllh,
         n=catalog.n,
-        n1=n1,
-        k=4,
+        n1=int(kernel.n1),
+        k=len(names) + 1,
         converged=not on_box.any() and se is not None,
-        iterations=total_passes,
+        iterations=passes,
         notes=notes,
     )
+
+
+def _box_note(name: str, upper: bool, value: float) -> str:
+    side = ("upper" if upper else "lower") + (" search" if name == "beta" else "")
+    why = (
+        "the likelihood still rises toward the exponential limit (beta -> inf with "
+        "alpha/beta fixed); compare fit_exponential"
+        if name == "beta" and upper
+        else "no interior likelihood maximum was found; the estimates are "
+        "boundary values"
+    )
+    return f"{name} at the {side} bound {value:g} of the search box: {why}"
 
 
 def pool_grouped(fits: Sequence[FitResult]) -> FitResult:

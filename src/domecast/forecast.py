@@ -24,7 +24,7 @@ import numpy as np
 
 from .bayes import PosteriorChain
 from .likelihood import _at_silica
-from .pareto import GPaParams, condition_on_age, quantile, survival
+from .pareto import GPaParams, _quantile, condition_on_age, survival
 
 __all__ = [
     "BracketError",
@@ -63,8 +63,22 @@ class ForecastCurve:
 
 def plugin_remaining_quantile(p: GPaParams, s: float, q: float) -> float:
     """q-th quantile of remaining activity for an event already s years
-    old: (beta + s) * ((1-q)^(-1/alpha) - 1)."""
-    return float(quantile(condition_on_age(p, s), q))
+    old: (beta + s) * ((1-q)^(-1/alpha) - 1).  FloatingPointError when it
+    overflows."""
+    p = condition_on_age(p, s)
+    return _mean_quantile(p.alpha, p.beta, q, s)
+
+
+def _mean_quantile(alpha, scale, q: float, s: float) -> float:
+    """Mean over draws of the q-th GPa quantile at shapes alpha and age-shifted
+    scales; FloatingPointError, naming the age s, when it overflows."""
+    with np.errstate(over="ignore"):
+        value = float(np.mean(_quantile(alpha, scale, q)))
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"the q={q:g} quantile of remaining duration at age {s:g} overflows"
+        )
+    return value
 
 
 def plugin_median_shift(p: GPaParams, s: float) -> float:
@@ -176,16 +190,13 @@ def predictive_quartiles(
     [0, 1e4] years, widened tenfold until it brackets the quartile
     (BracketError past 1e12 years); with ``per_draw`` it instead averages
     each draw's closed-form quantile (an alternative reading of
-    "posterior quartile", exposed for comparison).
+    "posterior quartile", exposed for comparison), FloatingPointError when
+    that mean overflows.
     """
     _check_nonneg_finite("eruption age", s)
     alpha, beta = _draw_params(chain, silica)
     if per_draw:
-        out = []
-        for q in (0.25, 0.50, 0.75):
-            vals = (beta + s) * np.expm1(-math.log1p(-q) / alpha)
-            out.append(float(vals.mean()))
-        return tuple(out)
+        return tuple(_mean_quantile(alpha, beta + s, q, s) for q in (0.25, 0.50, 0.75))
 
     fill = _exceedance(alpha, beta, s)
     row = np.empty((1, alpha.size))

@@ -92,17 +92,22 @@ def density(p: GPaParams, t):
 
 def quantile(p: GPaParams, q):
     """Inverse CDF: beta * ((1-q)^(-1/alpha) - 1) for q in [0, 1)."""
+    return _quantile(p.alpha, p.beta, q)
+
+
+def _quantile(alpha, beta, q):
+    """``quantile`` elementwise over arrays of shapes and scales."""
     q = np.asarray(q, dtype=float)
     if np.any(q < 0) or np.any(q >= 1):
         raise ValueError("q must lie in [0, 1)")
-    return p.beta * np.expm1(-np.log1p(-q) / p.alpha)
+    return beta * np.expm1(-np.log1p(-q) / alpha)
 
 
 def condition_on_age(p: GPaParams, s: float) -> GPaParams:
     """Remaining-duration distribution after the event has lasted s years:
     same shape, scale shifted to beta + s."""
-    if s < 0:
-        raise ValueError("age s must be >= 0")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"age s must be finite and >= 0, got {s}")
     return GPaParams(p.alpha, p.beta + s)
 
 

@@ -264,15 +264,43 @@ def chain_csv(tmp_path, sim_catalog):
     return post / "chain.csv"
 
 
-@pytest.mark.parametrize("age", ["nan", "-5"])
-def test_forecast_bayes_refuses_bad_age(tmp_path, chain_csv, age):
+@pytest.mark.parametrize("age", ["nan", "inf", "-5"])
+def test_forecast_bayes_refuses_bad_age(tmp_path, capsys, sim_catalog, chain_csv, age):
+    # The plug-in mode refuses the same ages, naming the age, not beta.
+    fit_out = tmp_path / "fit"
+    assert run(["fit", sim_catalog, "--out", fit_out]) == 0
     out = tmp_path / "fc"
-    assert run(["forecast", "--chain", chain_csv, "--age", age,
-                "--quartiles", "--out", out]) == 2
-    assert run(["forecast", "--chain", chain_csv, "--age", age,
-                "--grid", "0:50:11", "--out", out]) == 2
-    assert not (out / "quartiles.json").exists()
-    assert not (out / "forecast.csv").exists()
+    for source in (["--chain", chain_csv], ["--fit", fit_out / "fit.json"]):
+        capsys.readouterr()
+        assert run(["forecast", *source, "--age", age,
+                    "--quartiles", "--out", out]) == 2
+        assert "age" in capsys.readouterr().err
+        assert run(["forecast", *source, "--age", age,
+                    "--grid", "0:50:11", "--out", out]) == 2
+        assert "age" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_forecast_plugin_overflow_is_numerical_error(tmp_path, sim_catalog):
+    # q75 = (beta + 1e308)(4^(1/alpha) - 1) overflows a double.
+    fit_out = tmp_path / "fit"
+    assert run(["fit", sim_catalog, "--out", fit_out]) == 0
+    out = tmp_path / "fc"
+    assert run(["forecast", "--fit", fit_out / "fit.json", "--age", "1e308",
+                "--quartiles", "--grid", "0:50:11", "--out", out]) == 3
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["--chain", "--fit"])
+def test_forecast_without_outputs_is_usage_error(
+    tmp_path, capsys, regression_fit_and_chain, mode
+):
+    out = tmp_path / "fc"
+    assert run(["forecast", mode, regression_fit_and_chain[mode], "--age", 2.0,
+                "--silica", 58, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "--quartiles" in err and "--grid" in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("grid", ["0:nan:5", "0:inf:4", "nan:10:3"])
@@ -331,6 +359,26 @@ def test_empirical_grouped_exponential_fit(tmp_path, sim_catalog):
                 "--out", out]) == 0
     assert (out / "model_curve.csv").read_text() == "t,survival\n"
     assert (out / "segments.csv").read_text() == "volcano,class,age_s,median_shift\n"
+
+
+@pytest.mark.parametrize(
+    "estimates,code",
+    [
+        # (beta + age)(2^(1/alpha) - 1) overflows a double: numerical error.
+        ('"model_kind": "aggregate", "estimates": {"alpha": 0.0005, "beta": 1}', 3),
+        # The catalog's ongoing records have no silica: data error.
+        ('"model_kind": "regression", "estimates": {"alpha": 0.6, "beta": 1, '
+         '"gamma_alpha": 0, "gamma_beta": 0}', 2),
+    ],
+)
+def test_refused_median_shift_leaves_no_empirical_output(
+    tmp_path, sim_catalog, estimates, code
+):
+    fit_json = tmp_path / "fit.json"
+    fit_json.write_text("{" + estimates + "}")
+    out = tmp_path / "emp"
+    assert run(["empirical", sim_catalog, "--fit", fit_json, "--out", out]) == code
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from conftest import make_catalog
 from domecast.catalog import CompositionClass
 from domecast.fit import (
+    LOG_BETA_HI,
     FitError,
     HessianError,
     ModelComparison,
@@ -355,3 +356,36 @@ def test_fit_regression_on_flat_ridge_is_not_converged():
 def test_converged_fits_have_standard_errors(silica_catalog):
     for r in (fit_aggregate(silica_catalog), fit_regression(silica_catalog)):
         assert r.converged and r.standard_errors is not None
+
+
+def _with_silica(catalog, silica):
+    return make_catalog(zip(catalog.duration, catalog.censored, silica))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fit_regression_with_unidentified_gammas_is_not_converged(seed):
+    # One silica value for every record: the gammas are not identified, so
+    # the information is singular however its null eigenvalues round.
+    catalog = generate(
+        SimSpec(GPaParams(0.65, 0.7), n=60, censoring="random_fraction",
+                fraction=0.1, seed=seed)
+    )
+    r = fit_regression(_with_silica(catalog, [58.0] * catalog.n))
+    assert r.converged is False
+    assert r.standard_errors is None
+    assert any("standard errors undefined" in note for note in r.notes)
+
+
+def test_both_fits_share_the_search_box():
+    # Exponential data: both likelihoods rise toward beta -> inf.
+    catalog = generate(SimSpec(ExpParams(0.5), n=2000, seed=1))
+    catalog = _with_silica(catalog, np.resize([50.0, 58.0, 67.0], catalog.n))
+    agg, reg = fit_aggregate(catalog), fit_regression(catalog)
+    assert agg.estimates["beta"] == reg.estimates["beta"] == math.exp(LOG_BETA_HI)
+    beta_notes = [
+        [note for note in r.notes if note.startswith("beta ")] for r in (agg, reg)
+    ]
+    assert beta_notes[0] == beta_notes[1] and len(beta_notes[0]) == 1
+    assert "exponential" in beta_notes[0][0]
+    assert "of the search box" in beta_notes[0][0]
+    assert not agg.converged and not reg.converged

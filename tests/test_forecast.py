@@ -333,6 +333,15 @@ def test_bayes_forecasts_refuse_bad_age(s):
         predictive_quartiles(chain, s, per_draw=True)
 
 
+def test_overflowing_quantiles_are_refused():
+    # (beta + s)(4^(1/alpha) - 1) overflows a double at s = 1e308.
+    assert plugin_remaining_quantile(AGG, 1e308, 0.25) < math.inf
+    with pytest.raises(FloatingPointError, match="q=0.75"):
+        plugin_remaining_quantile(AGG, 1e308, 0.75)
+    with pytest.raises(FloatingPointError, match="overflows"):
+        predictive_quartiles(_chain([(0.6, 0.8)] * 10), 1e308, per_draw=True)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_predictive_curve_refuses_non_finite_grid(bad):
     chain = _random_chain(200, "aggregate", seed=2)

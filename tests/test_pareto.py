@@ -103,6 +103,12 @@ def test_conditioning_examples():
     assert two_step == condition_on_age(AGG, 7.5)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -1.0])
+def test_condition_on_age_refuses_bad_age(s):
+    with pytest.raises(ValueError, match="age"):
+        condition_on_age(AGG, s)
+
+
 def test_conditioning_identity():
     # survival(s + t) / survival(s) == survival of the age-shifted model at t
     p = GPaParams(0.8, 1.7)
