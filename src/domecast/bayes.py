@@ -27,7 +27,8 @@ import numpy as np
 
 from . import fit
 from .catalog import Catalog
-from .likelihood import _Kernel, catalog_arrays
+from .likelihood import MODELS, _Kernel, model_kernel
+from .likelihood import catalog_arrays  # noqa: F401  (traced by bench/tracing.py)
 
 __all__ = [
     "PriorSpec",
@@ -51,14 +52,6 @@ ADAPT_FACTOR = 1.5
 ACCEPT_LO = 0.2
 ACCEPT_HI = 0.5
 
-AGGREGATE_PARAMS = ("alpha", "beta")
-REGRESSION_PARAMS = ("alpha", "beta", "gamma_alpha", "gamma_beta")
-PARAMS = {"aggregate": AGGREGATE_PARAMS, "regression": REGRESSION_PARAMS}
-# The random walk's coordinates; alpha is drawn from its exact conditional.
-WALKED = {
-    "aggregate": ("log_beta",),
-    "regression": ("log_beta", "gamma_alpha", "gamma_beta"),
-}
 SAVE_BLOCK_ROWS = 1000
 HAARIO_SCALE = 2.38  # adapted proposal = HAARIO_SCALE / sqrt(k) * chol(cov)
 
@@ -120,6 +113,8 @@ class McmcConfig:
     proposal_scales: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        if self.proposal_scales is not None:  # as read back from JSON, a list
+            object.__setattr__(self, "proposal_scales", tuple(self.proposal_scales))
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.iterations < 1 or self.thin < 1:
@@ -137,7 +132,7 @@ class PosteriorChain:
     model_kind: str
     prior: PriorSpec = field(default_factory=PriorSpec)
     rng_algorithm: str = RNG_ALGORITHM
-    # Frozen proposal: lower Cholesky factor over WALKED[model_kind].
+    # Frozen proposal: lower Cholesky factor over MODELS[model_kind].theta.
     proposal_cholesky: Optional[np.ndarray] = None
 
     @property
@@ -148,28 +143,18 @@ class PosteriorChain:
         return self.draws[:, self.param_names.index(name)]
 
 
-def _kernel(model_kind: str, catalog: Catalog) -> _Kernel:
-    if model_kind == "aggregate":
-        t, delta, _ = catalog_arrays(catalog)
-        return _Kernel(t, delta)
-    if model_kind == "regression":
-        return _Kernel(*catalog_arrays(catalog, require_silica=True))
-    raise ValueError(f"unknown model_kind {model_kind!r}")
-
-
 def log_posterior(
     model_kind: str, catalog: Catalog, prior: PriorSpec, theta: Sequence[float]
 ) -> float:
     """Unnormalized log posterior on the natural parameter scale:
     -NLLH(theta) + log prior (gammas flat)."""
+    kernel = model_kernel(model_kind, catalog)
     theta = np.asarray(theta, dtype=float)
+    k = len(MODELS[model_kind].params)
+    if len(theta) != k:
+        raise ValueError(f"expected {k} parameters for {model_kind}, got {len(theta)}")
     if theta[0] <= 0 or theta[1] <= 0:
         raise ValueError("alpha and beta must be > 0")
-    kernel = _kernel(model_kind, catalog)
-    if len(theta) != len(PARAMS[model_kind]):
-        raise ValueError(
-            f"expected {len(PARAMS[model_kind])} parameters for {model_kind}"
-        )
     alpha, beta, *gammas = theta
     return -kernel.nllh(alpha, beta, *gammas) + prior.log_density(alpha, beta)
 
@@ -212,14 +197,12 @@ def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
 
 def _start_point(model_kind: str, catalog: Catalog) -> list[float]:
     """The MLE of the walked coordinates, or zeros when the fit fails."""
+    gammas = MODELS[model_kind].theta[1:]  # theta = (log beta, *gammas)
     try:
         estimates = getattr(fit, f"fit_{model_kind}")(catalog).estimates
     except fit.FitError:
-        return [0.0] * len(WALKED[model_kind])
-    return [
-        math.log(estimates["beta"]) if name == "log_beta" else estimates[name]
-        for name in WALKED[model_kind]
-    ]
+        return [0.0] * (1 + len(gammas))
+    return [math.log(estimates["beta"]), *(estimates[name] for name in gammas)]
 
 
 def _walk(rng, log_target, state, chol, out, thin=1):
@@ -267,14 +250,14 @@ def run_mh(
             f"posterior improper for prior {prior} with n1={catalog.n1}; "
             "need (c > 0 or a + n1 > 1) and (d > 0 or n1 > c)"
         )
-    kernel = _kernel(model_kind, catalog)
+    kernel = model_kernel(model_kind, catalog)
     shape = prior.a + kernel.n1
     if shape <= 0:
         raise ImproperPosteriorError(
             f"alpha | rest ~ Gamma(a + n1, b + S) needs a + n1 > 0; "
             f"got a={prior.a}, n1={catalog.n1}"
         )
-    coords = WALKED[model_kind]
+    coords = MODELS[model_kind].theta
     k = len(coords)
     scales = (0.1,) * k if config.proposal_scales is None else config.proposal_scales
     if len(scales) != k or min(scales) <= 0:
@@ -319,7 +302,7 @@ def run_mh(
     draws[:, 0] = rng.standard_gamma(shape, len(draws)) / (prior.b + draws[:, 0])
     return PosteriorChain(
         draws=draws,
-        param_names=PARAMS[model_kind],
+        param_names=MODELS[model_kind].params,
         acceptance_rate=accepts / config.iterations,
         config=config,
         model_kind=model_kind,
@@ -378,7 +361,7 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
     }
     if chain.proposal_cholesky is not None:
         meta["proposal"] = {
-            "coordinates": list(WALKED[chain.model_kind]),
+            "coordinates": list(MODELS[chain.model_kind].theta),
             "cholesky": chain.proposal_cholesky.tolist(),
         }
     with open(meta_path, "w") as fh:
@@ -388,37 +371,56 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
 
 def load_chain(csv_path, meta_path) -> PosteriorChain:
     """Read a chain written by ``save_chain``.  Raises ValueError naming
-    the file when the sidecar's schema is not domecast/v1, its proposal
-    is not over the model's walked coordinates, the CSV header is not
-    the parameter list of the sidecar's model_kind, or the CSV holds no
-    draws, ragged rows, a non-finite value or an alpha or beta <= 0."""
+    the file when the sidecar is not a JSON object, its schema is not
+    domecast/v1, its model_kind has no kernel, its proposal is not over
+    the model's walked coordinates, its config, prior or acceptance_rate
+    is missing or malformed (naming the key), the CSV header is not the
+    parameter list of the model, or the CSV holds no draws, ragged rows,
+    a non-finite value or an alpha or beta <= 0."""
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: not a JSON object")
     if meta.get("schema") != SCHEMA:
         raise ValueError(
             f"{meta_path}: schema {meta.get('schema')!r}, expected {SCHEMA!r}"
         )
     kind = meta.get("model_kind")
-    if kind not in PARAMS:
+    model = MODELS.get(kind) if isinstance(kind, str) else None
+    if model is None or not model.theta:
         raise ValueError(f"{meta_path}: unknown model_kind {kind!r}")
     with open(csv_path) as fh:
         names = tuple(fh.readline().strip().split(","))
-    if names != PARAMS[kind]:
+    if names != model.params:
         raise ValueError(
             f"{csv_path}: header {','.join(names)!r} does not match the "
-            f"{kind} model's parameters {','.join(PARAMS[kind])!r}"
+            f"{kind} model's parameters {','.join(model.params)!r}"
         )
     cholesky = None
     if "proposal" in meta:
-        coords = list(WALKED[kind])
-        cholesky = np.array(meta["proposal"].get("cholesky"), dtype=float)
-        if meta["proposal"].get("coordinates") != coords or cholesky.shape != (
-            len(coords),
-        ) * 2:
+        coords = list(model.theta)
+        try:
+            cholesky = np.array(meta["proposal"]["cholesky"], dtype=float)
+            ok = meta["proposal"]["coordinates"] == coords
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        if not ok or cholesky.shape != (len(coords),) * 2:
             raise ValueError(
                 f"{meta_path}: proposal is not a square factor over the {kind} "
                 f"model's walked coordinates {coords}"
             )
+    try:  # ``key`` names the entry at fault
+        key = "config"
+        config = McmcConfig(**meta[key])
+        key = "prior"
+        prior = PriorSpec(**meta[key])
+        key = "acceptance_rate"
+        acceptance_rate = float(meta[key])
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: {key!r} missing or malformed: {exc}") from None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # no rows is refused below
@@ -431,17 +433,13 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
         )
     if not (np.isfinite(draws).all() and (draws[:, :2] > 0).all()):
         raise ValueError(f"{csv_path}: draws must be finite, alpha and beta > 0")
-    cfg = meta["config"]
-    scales = cfg.get("proposal_scales")
     return PosteriorChain(
         draws=draws,
         param_names=names,
-        acceptance_rate=meta["acceptance_rate"],
-        config=McmcConfig(
-            **{**cfg, "proposal_scales": None if scales is None else tuple(scales)}
-        ),
+        acceptance_rate=acceptance_rate,
+        config=config,
         model_kind=kind,
-        prior=PriorSpec(**meta["prior"]),
+        prior=prior,
         rng_algorithm=meta.get("rng_algorithm", RNG_ALGORITHM),
         proposal_cholesky=cholesky,
     )

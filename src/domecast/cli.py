@@ -27,7 +27,7 @@ from .catalog import (
     serialize_catalog,
     summarize,
 )
-from .likelihood import SILICA_CENTER, RegressionParams
+from .likelihood import MODELS, SILICA_CENTER, RegressionParams
 from .pareto import ExpParams, GPaParams, condition_on_age, exp_quantile, quantile, survival
 
 DAYS_PER_YEAR = 365.25
@@ -82,13 +82,11 @@ def _load_catalog(path: str, days: bool = False) -> Catalog:
     return cat
 
 
-# model_kind -> (parameter class, its estimate keys in argument order)
+# fit.json's model_kind -> its entry of the model table
 _FIT_MODELS = {
-    "aggregate": (GPaParams, ("alpha", "beta")),
-    "grouped": (GPaParams, ("alpha", "beta")),
-    "exponential": (ExpParams, ("lambda",)),
-    "grouped-exponential": (ExpParams, ("lambda",)),
-    "regression": (RegressionParams, ("alpha", "beta", "gamma_alpha", "gamma_beta")),
+    **MODELS,
+    "grouped": MODELS["aggregate"],
+    "grouped-exponential": MODELS["exponential"],
 }
 
 
@@ -103,12 +101,12 @@ def _model_from_fit_doc(path: str):
     if not isinstance(doc, dict):
         raise DataError(f"fit JSON {path!r} is not an object")
     kind = doc.get("model_kind")
-    if kind not in _FIT_MODELS:
+    if not isinstance(kind, str) or kind not in _FIT_MODELS:
         raise DataError(f"unsupported model_kind {kind!r} in fit JSON {path!r}")
-    cls, keys = _FIT_MODELS[kind]
+    model = _FIT_MODELS[kind]
     est = doc.get("estimates", {})
     try:
-        return cls(*(est[key] for key in keys)), len(keys)
+        return model.cls(*(est[key] for key in model.params)), len(model.params)
     except KeyError as exc:
         raise DataError(f"fit JSON {path!r} has no estimate {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -142,16 +140,13 @@ def cmd_fit(args) -> int:
     cat = _load_catalog(args.catalog, days=args.days)
     if args.completed_only:
         cat = cat.completed_only()
-    if args.model == "aggregate":
-        result = fit.fit_aggregate(cat)
-    elif args.model == "grouped":
-        if args.comp_class is None:
-            raise DataError("--class is required for the grouped model")
-        result = fit.fit_grouped(
-            cat, CompositionClass(args.comp_class), family=args.family
-        )
+    if args.model != "grouped":
+        result = getattr(fit, f"fit_{args.model}")(cat)
+    elif args.comp_class is None:
+        raise DataError("--class is required for the grouped model")
     else:
-        result = fit.fit_regression(cat)
+        comp_class = CompositionClass(args.comp_class)
+        result = fit.fit_grouped(cat, comp_class, family=args.family)
     _write_json(os.path.join(args.out, "fit.json"), result.to_dict())
     return EXIT_OK
 
@@ -197,7 +192,7 @@ def cmd_forecast(args) -> int:
             chain = bayes.load_chain(args.chain, meta_path)
         except OSError as exc:
             raise DataError(f"cannot read chain: {exc}") from exc
-        if chain.model_kind == "regression" and args.silica is None:
+        if MODELS[chain.model_kind].silica and args.silica is None:
             raise UsageError("--silica is required for a regression chain")
         if args.quartiles:
             quartiles = forecast.predictive_quartiles(

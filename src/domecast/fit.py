@@ -22,7 +22,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .catalog import Catalog, CompositionClass
-from .likelihood import _Kernel, _ProfileDerivatives, catalog_arrays, nllh_exponential
+from .likelihood import MODELS, _Kernel, _ProfileDerivatives, catalog_arrays
+from .likelihood import model_kernel, nllh_exponential
 from .pareto import ExpParams
 
 __all__ = [
@@ -53,9 +54,8 @@ HALVINGS = 40  # step halvings before a start gives up
 GRAD_TOL = 1e-10  # converged when |projected gradient| <= GRAD_TOL n1
 ROUNDING = 1e-12  # P values within ROUNDING n1 of each other are tied
 CURVATURE_FLOOR = 1e-10  # relative floor on |eigenvalues| of the Newton Hessian
-# The estimates each model searches as theta = (log beta[, gammas]), and the
-# search box over theta, sliced to the model's coordinates.
-_COORDS = {"aggregate": ("beta",), "regression": ("beta", "gamma_alpha", "gamma_beta")}
+# The search box over theta = (log beta, gamma_alpha, gamma_beta), sliced to
+# a model's coordinates.
 _BOX_LO = np.array([LOG_BETA_LO, -GAMMA_BOUND, -GAMMA_BOUND])
 _BOX_HI = np.array([LOG_BETA_HI, GAMMA_BOUND, GAMMA_BOUND])
 
@@ -262,7 +262,7 @@ def fit_aggregate(catalog: Catalog) -> FitResult:
     a 100-point audit grid, with alpha profiled out in closed form.
     ``iterations`` counts kernel passes, grid included.
     """
-    kernel = _kernel("aggregate", catalog)
+    kernel = _fit_kernel("aggregate", catalog)
     # One pass per grid point: a (100, n) array would cost tens of MB at n=1e4.
     grid = np.linspace(LOG_BETA_LO, LOG_BETA_HI, BETA_GRID_POINTS)
     vals = [kernel.profile(math.exp(g))[1] for g in grid]
@@ -301,14 +301,11 @@ def fit_grouped(
     if sub.n == 0:
         raise FitError(f"no records in class {comp_class.value!r}")
     family = family.lower()
-    if family == "gpa":
-        result = fit_aggregate(sub)
-        kind = "grouped"
-    elif family == "exponential":
-        result = fit_exponential(sub)
-        kind = "grouped-exponential"
-    else:
+    if family not in ("gpa", "exponential"):
         raise ValueError(f"unknown family {family!r}")
+    exponential = family == "exponential"
+    result = fit_exponential(sub) if exponential else fit_aggregate(sub)
+    kind = "grouped-exponential" if exponential else "grouped"
     return replace(
         result, model_kind=kind, notes=result.notes + (f"class={comp_class.value}",)
     )
@@ -324,7 +321,7 @@ def fit_regression(catalog: Catalog) -> FitResult:
     aggregate fit's (the models are nested).  ``iterations`` counts
     kernel passes, the aggregate fit's excluded.
     """
-    kernel = _kernel("regression", catalog)
+    kernel = _fit_kernel("regression", catalog)
     at_agg = np.array([math.log(fit_aggregate(catalog).estimates["beta"]), 0.0, 0.0])
     rng = np.random.default_rng(20160208)  # deterministic jittered restarts
     jittered = [at_agg + rng.normal(scale=0.3, size=3) for _ in range(RESTARTS - 1)]
@@ -332,12 +329,11 @@ def fit_regression(catalog: Catalog) -> FitResult:
     return _pareto_fit("regression", catalog, kernel, starts, 0)
 
 
-def _kernel(kind: str, catalog: Catalog) -> _Kernel:
+def _fit_kernel(kind: str, catalog: Catalog) -> _Kernel:
     """The model's likelihood kernel; FitError unless the catalog has at
     least as many uncensored records as the model has parameters."""
-    t, delta, x = catalog_arrays(catalog, require_silica=kind == "regression")
-    kernel = _Kernel(t, delta, x if kind == "regression" else None)
-    k = len(_COORDS[kind]) + 1
+    kernel = model_kernel(kind, catalog)
+    k = len(MODELS[kind].params)
     if kernel.n1 < k:
         raise FitError(
             f"{kind} fit needs at least {k} uncensored records, got {int(kernel.n1)}"
@@ -352,7 +348,7 @@ def _pareto_fit(kind, catalog, kernel, starts, passes) -> FitResult:
     and is not ``converged``; nor is one with singular information (a flat
     ridge, of which the estimates are one arbitrary point), which has no
     ``standard_errors``."""
-    names = _COORDS[kind]
+    names = MODELS[kind].params[1:]  # beta for log beta, then the gammas
     lo, hi = _BOX_LO[: len(names)], _BOX_HI[: len(names)]
     best = None
     for s0 in starts:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bayes import PosteriorChain
-from .likelihood import _at_silica
+from .likelihood import MODELS, _at_silica
 from .pareto import GPaParams, _quantile, condition_on_age, survival
 
 __all__ = [
@@ -93,7 +93,7 @@ def _check_nonneg_finite(name: str, v: float) -> None:
 
 def _draw_params(chain: PosteriorChain, silica: Optional[float]):
     """Per-draw (alpha', beta') arrays, silica-adjusted for regression chains."""
-    if chain.model_kind != "regression":
+    if not MODELS[chain.model_kind].silica:
         return chain.column("alpha"), chain.column("beta")
     if silica is None:
         raise ValueError("silica is required for forecasts from a regression chain")

@@ -9,6 +9,12 @@ with delta_i = 1 uncensored, 0 censored.  The regression variant replaces
 (alpha, beta) with per-record log-linear functions of silica centered at
 60 percent.  ``_at_silica`` is the one silica map: fits' parameters,
 posterior draws and simulated records all shift through it.
+
+``MODELS`` is the one table of per-model facts (parameter names and
+class, the coordinates theta that fits search and the sampler walks,
+whether silica is required), and ``model_kernel`` the one builder of a
+model's likelihood kernel, used by fits, the sampler and the public
+``nllh_*``/``profile_alpha*`` functions.
 """
 
 from __future__ import annotations
@@ -60,6 +66,27 @@ class RegressionParams:
     def at_silica(self, x: float) -> GPaParams:
         alpha, beta = _at_silica(*astuple(self), x)
         return GPaParams(float(alpha), float(beta))
+
+
+class Model(NamedTuple):
+    """One entry of ``MODELS``."""
+
+    params: tuple[str, ...]  # estimate keys, in ``cls``'s argument order
+    cls: type
+    theta: tuple[str, ...]  # searched and walked coordinates; () without a kernel
+    silica: bool  # every record needs silica
+
+
+MODELS = {
+    "aggregate": Model(("alpha", "beta"), GPaParams, ("log_beta",), False),
+    "regression": Model(
+        ("alpha", "beta", "gamma_alpha", "gamma_beta"),
+        RegressionParams,
+        ("log_beta", "gamma_alpha", "gamma_beta"),
+        True,
+    ),
+    "exponential": Model(("lambda",), ExpParams, (), False),
+}
 
 
 def _at_silica(alpha, beta, gamma_alpha, gamma_beta, x):
@@ -229,20 +256,27 @@ class _Kernel:
         )
 
 
+def model_kernel(kind: str, catalog: Catalog) -> _Kernel:
+    """The likelihood kernel of ``MODELS[kind]`` on the catalog; ValueError
+    for a kind without one."""
+    model = MODELS.get(kind)
+    if model is None or not model.theta:
+        raise ValueError(f"unknown model_kind {kind!r}")
+    t, delta, x = catalog_arrays(catalog, require_silica=model.silica)
+    return _Kernel(t, delta, x if model.silica else None)
+
+
 def nllh_aggregate(catalog: Catalog, p: GPaParams) -> float:
-    t, delta, _ = catalog_arrays(catalog)
-    return _Kernel(t, delta).nllh(p.alpha, p.beta)
+    return model_kernel("aggregate", catalog).nllh(p.alpha, p.beta)
 
 
 def profile_alpha(catalog: Catalog, beta: float) -> float:
     """Conditional MLE for alpha at fixed beta: n1 / sum log(1 + t_i/beta)."""
-    t, delta, _ = catalog_arrays(catalog)
-    return _Kernel(t, delta).profile(beta)[0]
+    return model_kernel("aggregate", catalog).profile(beta)[0]
 
 
 def nllh_regression(catalog: Catalog, p: RegressionParams) -> float:
-    kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
-    return kernel.nllh(p.alpha, p.beta, p.gamma_alpha, p.gamma_beta)
+    return model_kernel("regression", catalog).nllh(*astuple(p))
 
 
 def profile_alpha_regression(
@@ -253,8 +287,7 @@ def profile_alpha_regression(
 
         n1 / sum_i exp(gamma_alpha (x_i-60)) log(1 + t_i exp(-gamma_beta (x_i-60))/beta)
     """
-    kernel = _Kernel(*catalog_arrays(catalog, require_silica=True))
-    return kernel.profile(beta, gamma_alpha, gamma_beta)[0]
+    return model_kernel("regression", catalog).profile(beta, gamma_alpha, gamma_beta)[0]
 
 
 def nllh_exponential(catalog: Catalog, p: ExpParams) -> float:

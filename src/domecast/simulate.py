@@ -8,14 +8,14 @@ the same selection effect that biases completed-only estimates downward.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import fit
 from .catalog import Catalog, CompositionClass
-from .likelihood import RegressionParams, _at_silica
+from .likelihood import MODELS, RegressionParams, _at_silica
 from .pareto import ExpParams, GPaParams
 
 __all__ = ["SimSpec", "generate", "recovery_study", "RecoveryReport"]
@@ -51,6 +51,8 @@ class SimSpec:
                 raise ValueError("random_fraction needs 0 <= fraction < 1")
         elif self.censoring != "none":
             raise ValueError(f"unknown censoring rule {self.censoring!r}")
+        if not any(isinstance(self.model, m.cls) for m in MODELS.values()):
+            raise TypeError(f"unsupported generating model {type(self.model)}")
 
 
 def _sample_true_durations(spec: SimSpec, rng: np.random.Generator):
@@ -60,15 +62,13 @@ def _sample_true_durations(spec: SimSpec, rng: np.random.Generator):
     model = spec.model
     if isinstance(model, ExpParams):
         return -np.log(u) / model.lam, silica, classes
-    if isinstance(model, GPaParams):
-        a, b = model.alpha, model.beta
-    elif isinstance(model, RegressionParams):
+    if isinstance(model, RegressionParams):
         idx = rng.choice(len(SILICA_POINTS), size=spec.n, p=SILICA_WEIGHTS)
         silica = np.array(SILICA_POINTS)[idx]
         classes = np.array(SILICA_CLASSES, dtype=object)[idx]
         a, b = _at_silica(*astuple(model), silica)
     else:
-        raise TypeError(f"unsupported generating model {type(model)}")
+        a, b = model.alpha, model.beta
     return b * np.expm1(-np.log(u) / a), silica, classes
 
 
@@ -114,28 +114,8 @@ class RecoveryReport:
     failures: int
 
     def to_dict(self) -> dict:
-        return {
-            "parameters": list(self.parameter_names),
-            "truth": dict(self.truth),
-            "bias": dict(self.bias),
-            "rmse": dict(self.rmse),
-            "coverage95": dict(self.coverage95),
-            "replications": self.replications,
-            "failures": self.failures,
-        }
-
-
-def _truth_map(model) -> dict:
-    if isinstance(model, GPaParams):
-        return {"alpha": model.alpha, "beta": model.beta}
-    if isinstance(model, ExpParams):
-        return {"lambda": model.lam}
-    return {
-        "alpha": model.alpha,
-        "beta": model.beta,
-        "gamma_alpha": model.gamma_alpha,
-        "gamma_beta": model.gamma_beta,
-    }
+        doc = asdict(self)  # the fields in order, parameter_names renamed
+        return {"parameters": list(doc.pop("parameter_names")), **doc}
 
 
 def recovery_study(spec: SimSpec, replications: int) -> RecoveryReport:
@@ -143,8 +123,9 @@ def recovery_study(spec: SimSpec, replications: int) -> RecoveryReport:
     nominal 95% Wald intervals across seeded replications."""
     if replications < 10:
         raise ValueError("need at least 10 replications")
-    truth = _truth_map(spec.model)
-    names = tuple(truth)
+    kind = next(k for k, m in MODELS.items() if isinstance(spec.model, m.cls))
+    names = MODELS[kind].params
+    truth = dict(zip(names, astuple(spec.model)))
     estimates = {k: [] for k in names}
     covered = {k: 0 for k in names}
     se_counts = {k: 0 for k in names}
@@ -154,12 +135,8 @@ def recovery_study(spec: SimSpec, replications: int) -> RecoveryReport:
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, rep)))
         cat = generate(spec, rng)
         try:
-            if isinstance(spec.model, GPaParams):
-                result = fit.fit_aggregate(cat)
-            elif isinstance(spec.model, ExpParams):
-                result = fit.fit_exponential(cat)
-            else:
-                result = fit.fit_regression(cat)
+            # Looked up per call, so a traced fit_* is the one called.
+            result = getattr(fit, f"fit_{kind}")(cat)
         except fit.FitError:
             failures += 1
             continue

@@ -12,8 +12,6 @@ from domecast.bayes import (
     ImproperPosteriorError,
     McmcConfig,
     PriorSpec,
-    WALKED,
-    _kernel,
     _marginal_log_target,
     chain_summary,
     lag1_autocorrelation,
@@ -24,7 +22,9 @@ from domecast.bayes import (
     run_mh,
     save_chain,
 )
-from domecast.fit import fit_regression
+from domecast import bayes
+from domecast.fit import FitError, fit_regression
+from domecast.likelihood import MODELS, model_kernel
 from domecast.pareto import GPaParams
 from domecast.simulate import SimSpec, generate
 
@@ -253,6 +253,47 @@ def test_load_chain_rejects_unknown_schema(tmp_path, short_chain):
         load_chain(*paths)
 
 
+def test_log_posterior_checks_parameter_count_first(mcmc_catalog, silica_catalog):
+    with pytest.raises(ValueError, match="expected 2 parameters for aggregate"):
+        log_posterior("aggregate", mcmc_catalog, REFERENCE, [1.0])
+    with pytest.raises(ValueError, match="expected 4 parameters for regression"):
+        log_posterior("regression", silica_catalog, REFERENCE, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", ["exponential", "grouped"])
+@pytest.mark.parametrize("entry", ["run_mh", "log_posterior", "load_chain"])
+def test_kernel_less_kinds_stay_refused(tmp_path, mcmc_catalog, short_chain, kind,
+                                        entry):
+    # The exponential model is in the model table but has no kernel to sample.
+    config = McmcConfig(seed=0, iterations=10, thin=1)
+    with pytest.raises(ValueError, match=f"unknown model_kind '{kind}'"):
+        if entry == "run_mh":
+            run_mh(kind, mcmc_catalog, REFERENCE, config)
+        elif entry == "log_posterior":
+            log_posterior(kind, mcmc_catalog, REFERENCE, [0.5])
+        else:
+            load_chain(*_saved_chain(tmp_path, short_chain, model_kind=kind))
+
+
+def test_run_mh_starts_from_zeros_when_the_fit_refuses(monkeypatch):
+    # Three uncensored records: too few for the regression fit, which the
+    # sampler's kernel does not require, so the walk starts from zeros.
+    cat = make_catalog([(1.0, False, 50.0), (2.0, False, 58.0), (4.0, False, 67.0),
+                        (3.0, True, 58.0)])
+    with pytest.raises(FitError, match="at least 4 uncensored"):
+        fit_regression(cat)
+    starts, walk = [], bayes._walk
+
+    def recording_walk(rng, log_target, state, *rest):
+        starts.append(list(state[0]))
+        return walk(rng, log_target, state, *rest)
+
+    monkeypatch.setattr(bayes, "_walk", recording_walk)
+    chain = run_mh("regression", cat, REFERENCE,
+                   McmcConfig(seed=0, burn_in=0, iterations=20, thin=1))
+    assert starts == [[0.0, 0.0, 0.0]] and chain.n_draws == 20
+
+
 def _regression_chain(catalog, seed=2, burn_in=3000, iterations=30_000, thin=10):
     cfg = McmcConfig(seed=seed, burn_in=burn_in, iterations=iterations, thin=thin)
     return run_mh("regression", catalog, REFERENCE, cfg)
@@ -274,7 +315,10 @@ def test_chain_round_trip_keeps_frozen_proposal(tmp_path, silica_catalog):
 
 
 def test_load_chain_rejects_proposal_of_another_model(tmp_path, short_chain):
-    proposal = {"coordinates": list(WALKED["regression"]), "cholesky": np.eye(3).tolist()}
+    proposal = {
+        "coordinates": list(MODELS["regression"].theta),
+        "cholesky": np.eye(3).tolist(),
+    }
     paths = _saved_chain(tmp_path, short_chain, proposal=proposal)
     with pytest.raises(ValueError, match=r"chain_meta\.json.*proposal"):
         load_chain(*paths)
@@ -327,7 +371,7 @@ def _log_alpha_integral(kind, catalog, prior, beta, gammas):
 @pytest.mark.parametrize("prior", [REFERENCE, PriorSpec(2, 1, 2, 1)])
 @pytest.mark.parametrize("kind", ["aggregate", "regression"])
 def test_marginal_target_integrates_alpha_out(kind, prior, silica_catalog):
-    log_target = _marginal_log_target(_kernel(kind, silica_catalog), prior)
+    log_target = _marginal_log_target(model_kernel(kind, silica_catalog), prior)
     states = [(0.7, 0.0, 0.0), (1.6, 0.05, -0.08), (0.3, -0.1, 0.12)]
     gaps = []
     for beta, ga, gb in states:
@@ -394,7 +438,7 @@ def test_alpha_draws_follow_gamma_conditional(kind, silica_catalog):
     prior = PriorSpec(2, 1, 2, 1)
     cfg = McmcConfig(seed=4, burn_in=1000, iterations=30_000, thin=10)
     chain = run_mh(kind, silica_catalog, prior, cfg)
-    kernel = _kernel(kind, silica_catalog)
+    kernel = model_kernel(kind, silica_catalog)
     S = np.array([kernel.sums(*row[1:])[0] for row in chain.draws])
     scaled = chain.column("alpha") * (prior.b + S)
     shape = prior.a + silica_catalog.n1

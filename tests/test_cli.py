@@ -388,6 +388,7 @@ def test_refused_median_shift_leaves_no_empirical_output(
         ('{"model_kind": "regression", "estimates": {"alpha": 0.6, "beta": 1}}',
          "'gamma_alpha'"),
         ("[1, 2]", "not an object"),
+        ('{"model_kind": ["aggregate"], "estimates": {}}', "unsupported model_kind"),
         ('{"model_kind": "aggregate", "estimates": {"alpha": -1, "beta": 1}}',
          "alpha must be finite"),
     ],
@@ -416,6 +417,36 @@ def test_forecast_refuses_chain_without_draws(tmp_path, chain_csv):
     out = tmp_path / "fc"
     assert run(["forecast", "--chain", chain_csv, "--age", 2.0,
                 "--quartiles", "--out", out]) == 2
+    assert list(out.iterdir()) == []
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "malform,fault",
+    [
+        (lambda meta: [meta], "not a JSON object"),
+        (lambda meta: _without(meta, "config"), "'config'"),
+        (lambda meta: _without(meta, "acceptance_rate"), "'acceptance_rate'"),
+        (lambda meta: {**meta, "prior": {**meta["prior"], "a": "flat"}}, "'prior'"),
+        (lambda meta: {**meta, "config": {**meta["config"], "chains": 4}}, "'config'"),
+        (lambda meta: {**meta, "proposal": None}, "proposal"),
+    ],
+    ids=["list", "no-config", "no-acceptance-rate", "non-numeric-prior",
+         "unknown-config-key", "null-proposal"],
+)
+def test_forecast_refuses_malformed_chain_meta(tmp_path, capsys, chain_csv, malform,
+                                               fault):
+    meta_path = chain_csv.parent / "chain_meta.json"
+    meta_path.write_text(json.dumps(malform(json.loads(meta_path.read_text()))))
+    out = tmp_path / "fc"
+    capsys.readouterr()
+    assert run(["forecast", "--chain", chain_csv, "--age", 2.0, "--quartiles",
+                "--grid", "0:50:11", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and fault in err
     assert list(out.iterdir()) == []
 
 
