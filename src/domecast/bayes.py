@@ -17,8 +17,11 @@ marginal of y, and each recorded state gets an exact alpha draw.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
@@ -340,17 +343,34 @@ def lag1_autocorrelation(values: np.ndarray) -> float:
     return float(np.dot(v[:-1], v[1:]) / denom)
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text file to write whose contents replace ``path`` only when the
+    block exits without an exception (temp file + rename).  The file gets
+    the mode ``open`` would give it; a temp file's own is 0600."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-domecast-"
+    )
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        os.chmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
     """Write draws as CSV (header = parameter names, values as %.18e) plus
     a provenance JSON sidecar (seed, burn-in, thin, acceptance rate, prior,
-    RNG and, when known, the frozen proposal's Cholesky factor)."""
+    RNG and, when known, the frozen proposal's Cholesky factor).  Both go
+    to temp files and are renamed into place, the sidecar last, once both
+    are written: a failure leaves the files at both paths as they were."""
     row_fmt = ",".join(["%.18e"] * len(chain.param_names)) + "\n"
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(chain.param_names) + "\n")
-        # The bytes np.savetxt writes, formatted a block of rows at a time.
-        for start in range(0, chain.n_draws, SAVE_BLOCK_ROWS):
-            block = chain.draws[start : start + SAVE_BLOCK_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
     meta = {
         "schema": SCHEMA,
         "model_kind": chain.model_kind,
@@ -364,9 +384,15 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
             "coordinates": list(MODELS[chain.model_kind].theta),
             "cholesky": chain.proposal_cholesky.tolist(),
         }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    # The CSV's block exits first, so it is renamed first.
+    with _atomic_open(meta_path) as meta_fh, _atomic_open(csv_path) as fh:
+        fh.write(",".join(chain.param_names) + "\n")
+        # The bytes np.savetxt writes, formatted a block of rows at a time.
+        for start in range(0, chain.n_draws, SAVE_BLOCK_ROWS):
+            block = chain.draws[start : start + SAVE_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        json.dump(meta, meta_fh, indent=2)
+        meta_fh.write("\n")
 
 
 def load_chain(csv_path, meta_path) -> PosteriorChain:
@@ -376,7 +402,8 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
     the model's walked coordinates, its config, prior or acceptance_rate
     is missing or malformed (naming the key), the CSV header is not the
     parameter list of the model, or the CSV holds no draws, ragged rows,
-    a non-finite value or an alpha or beta <= 0."""
+    a non-finite value, an alpha or beta <= 0, or a number of draws other
+    than the sidecar's iterations // thin."""
     with open(meta_path) as fh:
         try:
             meta = json.load(fh)
@@ -433,6 +460,11 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
         )
     if not (np.isfinite(draws).all() and (draws[:, :2] > 0).all()):
         raise ValueError(f"{csv_path}: draws must be finite, alpha and beta > 0")
+    if draws.shape[0] != config.iterations // config.thin:
+        raise ValueError(
+            f"{csv_path}: {draws.shape[0]} draws, but {meta_path} gives "
+            f"{config.iterations // config.thin} (iterations // thin)"
+        )
     return PosteriorChain(
         draws=draws,
         param_names=names,

@@ -7,8 +7,9 @@ class, and an optional silica percentage used by the regression model.
 A ``Catalog`` stores its rows as read-only numpy columns: ``names`` and
 ``comp_class`` (object arrays of str and ``CompositionClass``),
 ``start_year``, ``duration``, ``censored`` and ``silica`` (NaN where
-missing).  ``EruptionRecord`` rows exist only at the edges: parsed CSV
-rows, ``Catalog(records)`` and the ``records`` view.
+missing).  Every Catalog, parsed, simulated, derived or built from
+``EruptionRecord`` rows, passes one check of its columns; parsing builds
+no records, so records exist only in ``Catalog(records)`` and ``records``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class CompositionClass(Enum):
 
 @dataclass(frozen=True)
 class EruptionRecord:
-    """One catalog row.
+    """One catalog row, checked when it enters a Catalog.
 
     ``censored=True`` means the eruption was still ongoing at the catalog
     date, so ``duration`` is only a lower bound.
@@ -66,29 +67,30 @@ class EruptionRecord:
     composition_class: CompositionClass
     silica_pct: Optional[float] = None
 
-    def __post_init__(self):
-        if not (self.duration > 0 and math.isfinite(self.duration)):
-            raise CatalogError(
-                f"duration must be finite and > 0, got {self.duration} "
-                f"for {self.volcano_name!r}"
-            )
-        if not math.isfinite(self.start_year):
-            raise CatalogError(
-                f"start_year must be finite, got {self.start_year} "
-                f"for {self.volcano_name!r}"
-            )
-        if self.silica_pct is not None and not (
-            SILICA_MIN <= self.silica_pct <= SILICA_MAX
-        ):
-            raise CatalogError(
-                f"silica_pct {self.silica_pct} outside [{SILICA_MIN}, {SILICA_MAX}] "
-                f"for {self.volcano_name!r}"
-            )
-
 
 # Catalog's columns and their dtypes, in EruptionRecord's field order.
 _COLUMNS = ("names", "start_year", "duration", "censored", "comp_class", "silica")
 _DTYPES = (object, float, float, bool, object, float)
+
+
+def _check_columns(names, start_year, duration, silica, lines=None) -> None:
+    """Raise CatalogError for the first row that breaks a rule, with the
+    message of the first rule it breaks, after the row's source line when
+    ``lines`` gives it.  NaN silica is missing."""
+    rules = (  # (rows broken, values, message) in the order they are checked
+        (~(np.isfinite(duration) & (duration > 0)), duration,
+         "duration must be finite and > 0, got {}"),
+        (~np.isfinite(start_year), start_year, "start_year must be finite, got {}"),
+        ((silica < SILICA_MIN) | (silica > SILICA_MAX), silica,
+         f"silica_pct {{}} outside [{SILICA_MIN}, {SILICA_MAX}]"),
+    )
+    faults = [(bad.argmax(), k) for k, (bad, _, _) in enumerate(rules) if bad.any()]
+    if faults:
+        row, k = min(faults)  # the first row, then its first rule
+        _, values, message = rules[k]
+        where = f"line {lines[row]}: " if lines else ""
+        message = message.format(float(values[row]))
+        raise CatalogError(f"{where}{message} for {names[row]!r}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -114,18 +116,20 @@ class Catalog:
         self._set_columns(as_of_date, **dict(zip(_COLUMNS, columns)))
 
     @classmethod
-    def _from_columns(cls, as_of_date: Optional[str] = None, **columns) -> "Catalog":
-        """Package-private: a catalog that takes over valid columns."""
+    def _from_columns(cls, as_of_date=None, lines=None, **columns) -> "Catalog":
+        """Package-private: a catalog over the given columns, checked as
+        every Catalog is; ``lines`` numbers the rows in its messages."""
         catalog = object.__new__(cls)
-        catalog._set_columns(as_of_date, **columns)
+        catalog._set_columns(as_of_date, lines, **columns)
         return catalog
 
-    def _set_columns(self, as_of_date, **columns) -> None:
+    def _set_columns(self, as_of_date, lines=None, **columns) -> None:
         for name, dtype in zip(_COLUMNS, _DTYPES):
             column = np.asarray(columns[name], dtype=dtype)  # None -> NaN
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "as_of_date", as_of_date)
+        _check_columns(self.names, self.start_year, self.duration, self.silica, lines)
 
     def _columns(self) -> dict:
         return {name: getattr(self, name) for name in _COLUMNS}
@@ -205,7 +209,7 @@ def parse_catalog(source, as_of_date: Optional[str] = None) -> Catalog:
     if isinstance(source, str):
         source = io.StringIO(source)
 
-    records = []
+    rows = []  # (line number, the row's values in _COLUMNS order)
     header_seen = False
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -241,26 +245,19 @@ def parse_catalog(source, as_of_date: Optional[str] = None) -> Catalog:
         try:
             silica = float(sil_s) if sil_s else None
         except ValueError:
-            raise CatalogError(f"line {line_no}: bad silica_pct {sil_s!r}") from None
-        try:
-            records.append(
-                EruptionRecord(
-                    volcano_name=name,
-                    start_year=start_year,
-                    duration=duration,
-                    censored=(status_l == "ongoing"),
-                    composition_class=comp,
-                    silica_pct=silica,
-                )
-            )
-        except CatalogError as exc:
-            raise CatalogError(f"line {line_no}: {exc}") from None
+            silica = math.nan
+        if silica != silica:  # NaN, which the silica column keeps for missing
+            raise CatalogError(f"line {line_no}: bad silica_pct {sil_s!r}")
+        rows.append(
+            (line_no, name, start_year, duration, status_l == "ongoing", comp, silica)
+        )
 
     if not header_seen:
         raise CatalogError("empty catalog: no header found")
-    if not records:
+    if not rows:
         raise CatalogError("empty catalog")
-    return Catalog(records, as_of_date)
+    lines, *columns = zip(*rows)
+    return Catalog._from_columns(as_of_date, lines, **dict(zip(_COLUMNS, columns)))
 
 
 def serialize_catalog(catalog: Catalog) -> str:

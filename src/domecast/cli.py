@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -54,16 +53,8 @@ class UsageError(Exception):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-domecast-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with bayes._atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path: str, doc: dict) -> None:

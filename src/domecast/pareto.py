@@ -117,7 +117,14 @@ def sample(p: GPaParams, u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0) or np.any(u >= 1):
         raise ValueError("u must lie in (0, 1)")
-    return p.beta * np.expm1(-np.log(u) / p.alpha)
+    return _sample(p.alpha, p.beta, u)
+
+
+def _sample(alpha, beta, u):
+    """``sample`` elementwise over arrays of shapes and scales; a draw
+    beyond the float range is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return beta * np.expm1(-np.log(u) / alpha)
 
 
 def exp_survival(p: ExpParams, t):

@@ -16,7 +16,7 @@ import numpy as np
 from . import fit
 from .catalog import Catalog, CompositionClass
 from .likelihood import MODELS, RegressionParams, _at_silica
-from .pareto import ExpParams, GPaParams
+from .pareto import ExpParams, GPaParams, _sample
 
 __all__ = ["SimSpec", "generate", "recovery_study", "RecoveryReport"]
 
@@ -69,11 +69,12 @@ def _sample_true_durations(spec: SimSpec, rng: np.random.Generator):
         a, b = _at_silica(*astuple(model), silica)
     else:
         a, b = model.alpha, model.beta
-    return b * np.expm1(-np.log(u) / a), silica, classes
+    return _sample(a, b, u), silica, classes
 
 
 def generate(spec: SimSpec, rng: Optional[np.random.Generator] = None) -> Catalog:
-    """Draw a synthetic catalog; deterministic given spec.seed."""
+    """Draw a synthetic catalog; deterministic given spec.seed.  A catalog
+    with a duration beyond the float range is refused (CatalogError)."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     t_true, silica, classes = _sample_true_durations(spec, rng)

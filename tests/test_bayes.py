@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -480,3 +482,24 @@ def test_chain_sidecar_round_trip_keeps_bytes(tmp_path, short_chain):
     save_chain(loaded, again / "chain.csv", again / "chain_meta.json")
     assert (again / "chain_meta.json").read_bytes() == meta_path.read_bytes()
     assert (again / "chain.csv").read_bytes() == csv_path.read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["csv", "sidecar"])
+def test_failed_save_chain_leaves_earlier_files(tmp_path, short_chain, fault):
+    csv_path, meta_path = tmp_path / "chain.csv", tmp_path / "chain_meta.json"
+    save_chain(short_chain, csv_path, meta_path)
+    before = csv_path.read_bytes(), meta_path.read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in (csv_path, meta_path):  # as ``open`` makes them, not 0600
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    draws = np.full((2500, 2), 0.5, dtype=object)
+    if fault == "csv":
+        draws[1500, 1] = "x"  # the second block of rows cannot be formatted
+        chain = _const_chain(draws)
+    else:  # the CSV is complete; the sidecar's JSON fails part way
+        chain = dataclasses.replace(_const_chain(draws), acceptance_rate=object())
+    with pytest.raises(TypeError):
+        save_chain(chain, csv_path, meta_path)
+    assert (csv_path.read_bytes(), meta_path.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv", "chain_meta.json"]

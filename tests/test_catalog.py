@@ -74,10 +74,9 @@ def test_unknown_class_and_status():
 
 
 def test_silica_bounds():
-    with pytest.raises(CatalogError, match="silica"):
-        parse_catalog(HEADER + "A,1990,2.0,completed,mafic,12.0\n")
-    with pytest.raises(CatalogError, match="silica"):
-        parse_catalog(HEADER + "A,1990,2.0,completed,mafic,95.0\n")
+    for silica in ("12.0", "95.0", "nan"):  # NaN is refused, not read as missing
+        with pytest.raises(CatalogError, match="line 2: .*silica"):
+            parse_catalog(HEADER + f"A,1990,2.0,completed,mafic,{silica}\n")
 
 
 def test_round_trip(small_catalog):

@@ -2,6 +2,7 @@
 CSV round trip, immutability, and a model path that builds no records."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from domecast.bayes import McmcConfig, PriorSpec, run_mh
 from domecast.catalog import (
     Catalog,
+    CatalogError,
     CompositionClass,
     EruptionRecord,
     parse_catalog,
@@ -99,6 +101,31 @@ def test_equality_reads_every_column():
         assert a != Catalog([dataclasses.replace(row, **{field: value})])
 
 
+def test_every_constructor_checks_the_columns(small_catalog):
+    row = EruptionRecord("A", 1990.0, 2.0, False, CompositionClass.MAFIC)
+    for change, message in (
+        # A row that breaks several rules is named by the first of them.
+        (dict(duration=0.0, silica_pct=95.0), "duration must be finite and > 0, got 0.0"),
+        (dict(start_year=math.inf), "start_year must be finite, got inf"),
+        (dict(silica_pct=95.0), "silica_pct 95.0 outside [30.0, 90.0]"),
+    ):
+        with pytest.raises(CatalogError) as caught:
+            Catalog([row, dataclasses.replace(row, **change), row])
+        assert str(caught.value) == f"{message} for 'A'"
+    with pytest.raises(CatalogError, match="duration must be finite"):
+        small_catalog._replace(duration=-small_catalog.duration)
+    columns = {**small_catalog._columns(), "silica": np.full(small_catalog.n, 20.0)}
+    with pytest.raises(CatalogError, match="silica_pct 20.0 outside"):
+        Catalog._from_columns(**columns)
+    # alpha = 0.003 draws durations beyond the float range; fixed-horizon
+    # censoring caps the same draws at the window.
+    with pytest.raises(CatalogError, match="got inf for 'SIM-00009'"):
+        generate(SimSpec(GPaParams(0.003, 1.0), n=1000, seed=1))
+    spec = SimSpec(GPaParams(0.003, 1.0), n=1000, censoring="fixed_horizon",
+                   horizon=100.0, seed=1)
+    assert generate(spec).duration.max() <= 100.0
+
+
 def test_empty_catalog_has_empty_columns():
     cat = Catalog(())
     assert cat.n == cat.n0 == cat.n1 == 0 and cat.records == ()
@@ -134,10 +161,10 @@ def test_catalog_is_immutable(small_catalog, silica_catalog):
 
 
 def test_models_run_without_records(monkeypatch):
-    def refuse(self):
-        raise AssertionError(f"EruptionRecord built for {self.volcano_name!r}")
+    def refuse(self, volcano_name, *args, **kwargs):
+        raise AssertionError(f"EruptionRecord built for {volcano_name!r}")
 
-    monkeypatch.setattr(EruptionRecord, "__post_init__", refuse)
+    monkeypatch.setattr(EruptionRecord, "__init__", refuse)
     spec = SimSpec(
         RegressionParams(0.69, 0.79, 0.045, 0.13),
         n=300,
@@ -148,6 +175,7 @@ def test_models_run_without_records(monkeypatch):
     cat = generate(spec)
     with pytest.raises(AssertionError, match="SIM-00000"):
         cat.records  # the patch is live: only the records view builds rows
+    assert parse_catalog(serialize_catalog(cat)) == cat  # nor does parsing
 
     agg = fit_aggregate(cat)
     fit_regression(cat)

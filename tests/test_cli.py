@@ -51,7 +51,7 @@ def test_malformed_catalog_is_data_error(tmp_path):
     assert run(["fit", bad, "--out", tmp_path]) == 2
 
 
-def test_non_finite_catalog_is_data_error(tmp_path):
+def test_non_finite_catalog_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("volcano,start_year,duration_yr,status,class,silica_pct\n"
                    "A,1990,2.0,completed,mafic,\n"
@@ -61,6 +61,15 @@ def test_non_finite_catalog_is_data_error(tmp_path):
     assert run(["fit", bad, "--out", tmp_path]) == 2
     assert run(["empirical", bad, "--out", tmp_path]) == 2
     assert not (tmp_path / "empirical.csv").exists()
+    # A simulated catalog is checked like a parsed one: alpha = 0.003 draws
+    # durations beyond the float range.
+    capsys.readouterr()
+    assert run(["simulate", "--alpha", 0.003, "--beta", 1, "--n", 1000,
+                "--seed", 1, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        "error: duration must be finite and > 0, got inf for 'SIM-00009'\n"
+    )
+    assert not (tmp_path / "catalog.csv").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -417,6 +426,19 @@ def test_forecast_refuses_chain_without_draws(tmp_path, chain_csv):
     out = tmp_path / "fc"
     assert run(["forecast", "--chain", chain_csv, "--age", 2.0,
                 "--quartiles", "--out", out]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_forecast_refuses_truncated_chain(tmp_path, capsys, chain_csv):
+    lines = chain_csv.read_text().splitlines(keepends=True)
+    assert len(lines) == 101  # header and iterations // thin = 100 draws
+    chain_csv.write_text("".join(lines[:50]))
+    out = tmp_path / "fc"
+    capsys.readouterr()
+    assert run(["forecast", "--chain", chain_csv, "--age", 2.0,
+                "--quartiles", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "chain.csv: 49 draws" in err and "100 (iterations // thin)" in err
     assert list(out.iterdir()) == []
 
 
