@@ -13,6 +13,13 @@ covariance of the later half of the burn-in so far, scaled by
 2.38/sqrt(3) (Haario, Saksman & Tamminen 2001, Bernoulli 7(2)).  The
 proposal then freezes, so the recorded chain is exact Metropolis on the
 marginal of y, and each recorded state gets an exact alpha draw.
+
+The walk draws each block of ``ADAPT_WINDOW`` increments with one call,
+then the block's accept uniforms with one more, one per step; a downhill
+proposal takes the next uniform.  After the block the generator is
+rewound and advanced by the uniforms taken, so the chain and the
+generator's state are those of one ``rng.random()`` per downhill
+proposal.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import os
 import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
+from operator import add, length_hint
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,6 +87,11 @@ class PriorSpec:
     d: float = 0.0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"prior hyperparameter {name} must be finite, got {value}"
+                )
         if min(self.a, self.b, self.c, self.d) < 0:
             raise ValueError("prior hyperparameters must be >= 0")
 
@@ -174,20 +188,26 @@ def _marginal_log_target(kernel: _Kernel, prior: PriorSpec):
     """
     shape = prior.a + kernel.n1
     log_beta_coef = prior.c - kernel.n1
+    b, d, delta_dx, sums = prior.b, prior.d, kernel.delta_dx, kernel.sums
+    exp, log = math.exp, math.log
 
     def log_target(y):
-        log_beta, *gammas = y
+        log_beta = y[0]
         try:
-            beta = math.exp(log_beta)
-            S, U = kernel.sums(beta, *gammas)
-            log_rate = math.log(prior.b + S)
+            beta = exp(log_beta)
+            if len(y) == 1:
+                S, U = sums(beta)
+                tilt = 0.0
+            else:
+                S, U = sums(beta, y[1], y[2])
+                tilt = (y[2] - y[1]) * delta_dx
+            log_rate = log(b + S)
         except (OverflowError, ValueError):
             raise McmcError(
-                f"walk reached log beta = {log_beta:.4g}, gammas = {gammas}, where "
-                "the likelihood overflows; the posterior may be improper"
+                f"walk reached log beta = {log_beta:.4g}, gammas = {list(y[1:])}, "
+                "where the likelihood overflows; the posterior may be improper"
             ) from None
-        tilt = (gammas[1] - gammas[0]) * kernel.delta_dx if gammas else 0.0
-        lp = -shape * log_rate - U - tilt + log_beta_coef * log_beta - prior.d * beta
+        lp = -shape * log_rate - U - tilt + log_beta_coef * log_beta - d * beta
         return lp, S
 
     return log_target
@@ -213,22 +233,38 @@ def _walk(rng, log_target, state, chol, out, thin=1):
     ``state = (y, log density, S)`` with increments N(0, chol chol^T).
 
     Every ``thin``-th state is written to a row of ``out`` as (S, *y).
-    Returns the final state and the number of accepted moves.
+    Returns the final state and the number of accepted moves.  Works in
+    blocks of ``ADAPT_WINDOW`` steps, each with its own draws of
+    increments and uniforms (see the module docstring) and one write of
+    its rows; ``rng`` is left as one ``rng.random()`` per downhill
+    proposal would leave it.
     """
     y, lp, S = state
     steps = thin * len(out)
-    accepts = 0
+    accepts = written = 0
+    bit_generator = rng.bit_generator
     for start in range(0, steps, ADAPT_WINDOW):
         m = min(ADAPT_WINDOW, steps - start)
         increments = (rng.standard_normal((m, len(y))) @ chol.T).tolist()
+        rewind = bit_generator.state
+        uniforms = iter(rng.random(m).tolist())
+        block_rng = SimpleNamespace(random=uniforms.__next__)
+        rows = []
         for i, inc in enumerate(increments, start + 1):
-            prop = [a + b for a, b in zip(y, inc)]
+            prop = list(map(add, y, inc))
             lp_prop, S_prop = log_target(prop)
-            if metropolis_accept(rng, lp_prop - lp):
+            if metropolis_accept(block_rng, lp_prop - lp):
                 y, lp, S = prop, lp_prop, S_prop
                 accepts += 1
             if i % thin == 0:
-                out[i // thin - 1] = (S, *y)
+                rows.append((S, *y))
+        # PCG64 spends one 64-bit output per uniform, and a list iterator's
+        # length hint is exactly the number of uniforms left.
+        bit_generator.state = rewind
+        bit_generator.advance(m - length_hint(uniforms))
+        if rows:
+            out[written : written + len(rows)] = rows
+            written += len(rows)
     return (y, lp, S), accepts
 
 

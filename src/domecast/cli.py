@@ -81,9 +81,16 @@ _FIT_MODELS = {
 }
 
 
-def _model_from_fit_doc(path: str):
+def _duration_units(days: bool) -> str:
+    return "days" if days else "years"
+
+
+def _model_from_fit_doc(path: str, days: Optional[bool] = None):
     """(parameters, number fitted) from a FitResult JSON file, the one
-    reader of fit.json; DataError names the file and the key at fault."""
+    reader of fit.json; DataError names the file and the key at fault.
+    Given ``days``, DataError also unless the fit's catalog was read in
+    the units this command reads its catalog in (a fit.json without
+    ``duration_units`` was fitted in years)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -94,6 +101,14 @@ def _model_from_fit_doc(path: str):
     kind = doc.get("model_kind")
     if not isinstance(kind, str) or kind not in _FIT_MODELS:
         raise DataError(f"unsupported model_kind {kind!r} in fit JSON {path!r}")
+    if days is not None:
+        units = doc.get("duration_units", "years")
+        if units != _duration_units(days):
+            raise DataError(
+                f"fit JSON {path!r} was fitted to durations in {units}, but "
+                f"this catalog is read in {_duration_units(days)}; pass --days "
+                "to both commands or to neither"
+            )
     model = _FIT_MODELS[kind]
     est = doc.get("estimates", {})
     try:
@@ -138,13 +153,14 @@ def cmd_fit(args) -> int:
     else:
         comp_class = CompositionClass(args.comp_class)
         result = fit.fit_grouped(cat, comp_class, family=args.family)
-    _write_json(os.path.join(args.out, "fit.json"), result.to_dict())
+    doc = {**result.to_dict(), "duration_units": _duration_units(args.days)}
+    _write_json(os.path.join(args.out, "fit.json"), doc)
     return EXIT_OK
 
 
 def cmd_gof(args) -> int:
-    cat = _load_catalog(args.catalog).completed_only()
-    model, k_fitted = _model_from_fit_doc(args.fit)
+    cat = _load_catalog(args.catalog, days=args.days).completed_only()
+    model, k_fitted = _model_from_fit_doc(args.fit, days=args.days)
     p = _pinned(model, args.silica)
     inverse_cdf = exp_quantile if isinstance(p, ExpParams) else quantile
     report = gof.gof_test(
@@ -275,7 +291,7 @@ def cmd_empirical(args) -> int:
     fractions, fitted model curves, and median-shift segments for
     ongoing records.  A refused median shift leaves no file behind."""
     cat = _load_catalog(args.catalog, days=args.days)
-    model = _model_from_fit_doc(args.fit)[0] if args.fit else None
+    model = _model_from_fit_doc(args.fit, days=args.days)[0] if args.fit else None
 
     lines = ["class,duration,fraction_exceeding"]
     groups = {"all": cat}
@@ -326,6 +342,13 @@ def build_parser() -> _Parser:
     def add_out(p):
         p.add_argument("--out", default=".", help="output directory (default: .)")
 
+    def add_days(p):
+        p.add_argument(
+            "--days",
+            action="store_true",
+            help=f"catalog durations are days; divide by {DAYS_PER_YEAR}",
+        )
+
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit")
     p_fit.add_argument("catalog")
     p_fit.add_argument(
@@ -343,11 +366,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument(
         "--completed-only", action="store_true", help="drop ongoing records first"
     )
-    p_fit.add_argument(
-        "--days",
-        action="store_true",
-        help=f"catalog durations are days; divide by {DAYS_PER_YEAR}",
-    )
+    add_days(p_fit)
     add_out(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -356,6 +375,7 @@ def build_parser() -> _Parser:
     p_gof.add_argument("--fit", required=True, help="FitResult JSON")
     p_gof.add_argument("--bins", type=int, default=gof.DEFAULT_BINS)
     p_gof.add_argument("--silica", type=float, help="pin a regression fit")
+    add_days(p_gof)
     add_out(p_gof)
     p_gof.set_defaults(func=cmd_gof)
 
@@ -423,7 +443,7 @@ def build_parser() -> _Parser:
     )
     p_emp.add_argument("catalog")
     p_emp.add_argument("--fit", help="FitResult JSON for model curves/segments")
-    p_emp.add_argument("--days", action="store_true")
+    add_days(p_emp)
     add_out(p_emp)
     p_emp.set_defaults(func=cmd_empirical)
 

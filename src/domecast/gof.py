@@ -78,8 +78,8 @@ def chisq_statistic(observed: Sequence[float], expected: Sequence[float]) -> flo
 def chisq_tail(x: float, dof: int) -> float:
     """Upper tail P[X > x] of a chi-square with dof degrees of freedom:
     the regularized incomplete gamma Q(dof/2, x/2)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    if not x >= 0:  # NaN too
+        raise ValueError(f"x must be >= 0, got {x}")
     if dof < 1:
         raise ValueError("dof must be >= 1")
     return float(gammaincc(dof / 2.0, x / 2.0))

@@ -143,7 +143,7 @@ class _Kernel:
     model) w_i = 1 and b_i = beta, and silica is never read.
     """
 
-    __slots__ = ("t", "delta", "dx", "n1", "delta_dx", "moment_arrays")
+    __slots__ = ("t", "delta", "dx", "n1", "delta_dx", "sum_arrays", "moment_arrays")
 
     def __init__(self, t, delta, x=None):
         self.t = t
@@ -151,15 +151,31 @@ class _Kernel:
         self.dx = None if x is None else x - SILICA_CENTER
         self.n1 = float(delta.sum())
         self.delta_dx = 0.0 if x is None else float(delta @ self.dx)
+        # Rows (w, delta) with w = 1 without x, a row for L and the (S, U)
+        # pair, overwritten by every ``sums`` call (w only with x): at
+        # n = 177 fresh arrays and separate reductions cost more than the
+        # arithmetic.
+        rows = np.empty((3, len(t)))
+        rows[0], rows[1] = 1.0, delta
+        self.sum_arrays = (rows[:2], rows[2], np.empty(2))
         self.moment_arrays = None  # built by the first profile_derivatives
 
     def sums(self, beta, gamma_alpha=0.0, gamma_beta=0.0) -> tuple[float, float]:
-        if self.dx is None:
-            b, w = beta, None
+        t, dx = self.t, self.dx
+        wd, L, SU = self.sum_arrays
+        if dx is None:
+            np.divide(t, beta, out=L)
         else:
-            b, w = beta * np.exp(gamma_beta * self.dx), np.exp(gamma_alpha * self.dx)
-        L = np.log1p(self.t / b)
-        return float(L.sum() if w is None else w @ L), float(self.delta @ L)
+            np.multiply(dx, gamma_beta, out=L)
+            np.exp(L, out=L)
+            np.multiply(L, beta, out=L)  # b_i
+            np.divide(t, L, out=L)
+            np.multiply(dx, gamma_alpha, out=wd[0])
+            np.exp(wd[0], out=wd[0])
+        np.log1p(L, out=L)
+        wd.dot(L, out=SU)
+        S, U = SU.tolist()
+        return S, U
 
     def nllh(self, alpha, beta, gamma_alpha=0.0, gamma_beta=0.0) -> float:
         S, U = self.sums(beta, gamma_alpha, gamma_beta)

@@ -9,10 +9,11 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from conftest import make_catalog
+from conftest import assert_walks_match, make_catalog
 from domecast.bayes import (
     ImproperPosteriorError,
     McmcConfig,
+    McmcError,
     PriorSpec,
     _marginal_log_target,
     chain_summary,
@@ -27,7 +28,7 @@ from domecast.bayes import (
 from domecast import bayes
 from domecast.fit import FitError, fit_regression
 from domecast.likelihood import MODELS, model_kernel
-from domecast.pareto import GPaParams
+from domecast.pareto import ExpParams, GPaParams
 from domecast.simulate import SimSpec, generate
 
 REFERENCE = PriorSpec()
@@ -47,6 +48,14 @@ def short_chain(mcmc_catalog):
 def test_prior_validation():
     with pytest.raises(ValueError):
         PriorSpec(a=-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+def test_prior_refuses_non_finite_hyperparameter(name, value):
+    # b = nan once gave a chain of NaN alphas, d = inf a frozen chain.
+    with pytest.raises(ValueError, match=f"hyperparameter {name} must be finite"):
+        PriorSpec(**{name: value})
 
 
 def test_propriety_reference_prior():
@@ -503,3 +512,40 @@ def test_failed_save_chain_leaves_earlier_files(tmp_path, short_chain, fault):
         save_chain(chain, csv_path, meta_path)
     assert (csv_path.read_bytes(), meta_path.read_bytes()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv", "chain_meta.json"]
+
+
+WALK_PROPOSALS = {
+    "aggregate": np.array([[0.3]]),
+    "regression": np.array([[0.1, 0, 0], [0.02, 0.05, 0], [-0.03, 0.01, 0.05]]),
+}
+
+
+@pytest.mark.parametrize("prior", [REFERENCE, PriorSpec(2, 1, 2, 1)])
+@pytest.mark.parametrize("rows,thin", [(1267, 1), (181, 7)])
+@pytest.mark.parametrize("kind", ["aggregate", "regression"])
+def test_walk_matches_reference_walk(kind, rows, thin, prior, silica_catalog):
+    # 1 267 steps: two whole ADAPT_WINDOW blocks and a part block.
+    assert (rows * thin) % bayes.ADAPT_WINDOW != 0
+    y0 = bayes._start_point(kind, silica_catalog)
+    kernel = model_kernel(kind, silica_catalog)
+    accepts = assert_walks_match(
+        kernel, prior, y0, WALK_PROPOSALS[kind], 11, rows, thin
+    )
+    assert 0.1 < accepts / (rows * thin) < 0.9  # downhill moves taken and refused
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "regression"])
+def test_log_target_overflow_names_log_beta(kind, silica_catalog):
+    log_target = _marginal_log_target(model_kernel(kind, silica_catalog), REFERENCE)
+    y = [800.0] + [0.0] * (len(MODELS[kind].theta) - 1)
+    with pytest.raises(McmcError, match=r"log beta = 800, gammas = \[(0.0, 0.0)?\]"):
+        log_target(y)
+
+
+def test_run_mh_on_the_exponential_ridge_raises():
+    # The reference posterior of an exponential catalog is flat as beta
+    # grows: the walk drifts off until exp(log beta) overflows.
+    cat = generate(SimSpec(ExpParams(0.5), n=500, seed=1))
+    config = McmcConfig(seed=1, burn_in=10_000, iterations=1000, thin=1)
+    with pytest.raises(McmcError, match="likelihood overflows"):
+        run_mh("aggregate", cat, REFERENCE, config)

@@ -257,6 +257,39 @@ def test_days_flag_scales_fit(tmp_path, sim_catalog):
     assert d["beta"] == pytest.approx(y["beta"] / 365.25, rel=1e-6)
 
 
+@pytest.mark.parametrize("command", ["gof", "empirical"])
+def test_fit_units_must_match_catalog_units(tmp_path, capsys, sim_catalog, command):
+    # A fit in days checked against the catalog read in years once gave
+    # chi-square 1948 and p = 0 with exit 0.
+    fit_days, fit_years = tmp_path / "fit_days", tmp_path / "fit_years"
+    assert run(["fit", sim_catalog, "--days", "--out", fit_days]) == 0
+    assert run(["fit", sim_catalog, "--out", fit_years]) == 0
+    assert json.loads((fit_days / "fit.json").read_text())["duration_units"] == "days"
+    assert json.loads((fit_years / "fit.json").read_text())["duration_units"] == "years"
+    capsys.readouterr()
+    for fit_dir, days in ((fit_days, []), (fit_years, ["--days"])):
+        out = tmp_path / f"{command}_{fit_dir.name}"
+        args = [command, sim_catalog, "--fit", fit_dir / "fit.json", *days]
+        assert run(args + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "days" in err and "years" in err
+        assert list(out.iterdir()) == []
+    for fit_dir, days in ((fit_days, ["--days"]), (fit_years, [])):
+        args = [command, sim_catalog, "--fit", fit_dir / "fit.json", *days]
+        assert run(args + ["--out", tmp_path / "ok"]) == 0
+
+
+def test_fit_json_without_units_reads_as_years(tmp_path, sim_catalog):
+    out = tmp_path / "fit"
+    assert run(["fit", sim_catalog, "--out", out]) == 0
+    doc = json.loads((out / "fit.json").read_text())
+    del doc["duration_units"]
+    (out / "fit.json").write_text(json.dumps(doc))
+    assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
+    assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--days",
+                "--out", tmp_path / "days"]) == 2
+
+
 def test_gof_bins_below_three_exit_1(tmp_path, sim_catalog):
     # Both bin-count refusals are usage errors, whatever the fitted model.
     fit_out = tmp_path / "fit"

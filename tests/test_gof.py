@@ -55,6 +55,12 @@ def test_chisq_tail_basics():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_chisq_tail_refuses_nan():
+    with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+        chisq_tail(math.nan, 10)
+    assert chisq_tail(math.inf, 10) == 0.0
+
+
 def test_chisq_tail_vs_high_precision_oracle():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40

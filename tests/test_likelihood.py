@@ -5,7 +5,9 @@ import pytest
 
 from conftest import make_catalog
 from domecast.likelihood import (
+    MODELS,
     RegressionParams,
+    model_kernel,
     nllh_aggregate,
     nllh_exponential,
     nllh_regression,
@@ -202,3 +204,27 @@ def test_silica_map_is_elementwise_and_refuses_x_outside_catalog_range():
             p.at_silica(bad)
         with pytest.raises(ValueError, match="outside"):
             _at_silica(alpha, beta, 0.04, 0.13, np.array([58.0, bad]))
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "regression"])
+def test_kernel_calls_interleaved_match_fresh_kernels(kind, silica_catalog):
+    # sums writes into buffers the kernel keeps, and profile_derivatives into
+    # others: a call must not see what an earlier call at another point left.
+    kernel = model_kernel(kind, silica_catalog)
+    k = len(MODELS[kind].theta)
+    points = [(0.7, 0.0, 0.0), (1.6, 0.05, -0.08), (25.0, -0.1, 0.12)]
+    calls = [
+        ("sums", ()),
+        ("profile_derivatives", ()),
+        ("profile", ()),
+        ("nllh", (0.6,)),
+    ]
+    for j in range(len(points) * len(calls)):  # each call at each point
+        name, lead = calls[j % len(calls)]
+        point = points[j % len(points)][:k]
+        got = getattr(kernel, name)(*lead, *point)
+        want = getattr(model_kernel(kind, silica_catalog), name)(*lead, *point)
+        if name == "profile_derivatives":
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        else:
+            assert got == want

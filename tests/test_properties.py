@@ -9,13 +9,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog
+from conftest import assert_walks_match, make_catalog
+from domecast.bayes import PriorSpec
 from domecast.catalog import Catalog
 from domecast.fit import fit_aggregate, fit_regression
 from domecast.likelihood import (
     RegressionParams,
     _Kernel,
     catalog_arrays,
+    model_kernel,
     nllh_aggregate,
     nllh_regression,
 )
@@ -189,3 +191,32 @@ def test_profile_derivatives_match_central_differences(n, fraction, seed, theta)
         scale = max(1.0, np.abs(hess).max())
         assert np.abs(d.grad - grad).max() <= 1e-5 * scale
         assert np.abs(d.hess - hess).max() <= 1e-5 * scale
+
+
+@SETTINGS
+@given(
+    n=st.integers(8, 60),
+    catalog_seed=st.integers(0, 2**32 - 1),
+    walk_seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 400),
+    thin=st.integers(1, 4),
+    scale=st.floats(0.02, 0.3),
+)
+def test_walk_matches_reference_walk(n, catalog_seed, walk_seed, rows, thin, scale):
+    # The block-wise walk is the one-uniform-per-step walk: same coordinates,
+    # same acceptances, the generator left in the same state.
+    catalog = generate(
+        SimSpec(
+            RegressionParams(0.65, 0.7, 0.05, 0.1),
+            n=n,
+            censoring="random_fraction",
+            fraction=0.1,
+            seed=catalog_seed,
+        )
+    )
+    assume(catalog.n1 >= 2)
+    y0 = math.log(float(np.median(catalog.duration)))
+    for kind, start in (("aggregate", [y0]), ("regression", [y0, 0.0, 0.0])):
+        chol = scale * np.eye(len(start))
+        kernel = model_kernel(kind, catalog)
+        assert_walks_match(kernel, PriorSpec(), start, chol, walk_seed, rows, thin)
