@@ -14,12 +14,9 @@ covariance of the later half of the burn-in so far, scaled by
 proposal then freezes, so the recorded chain is exact Metropolis on the
 marginal of y, and each recorded state gets an exact alpha draw.
 
-The walk draws each block of ``ADAPT_WINDOW`` increments with one call,
-then the block's accept uniforms with one more, one per step; a downhill
-proposal takes the next uniform.  After the block the generator is
-rewound and advanced by the uniforms taken, so the chain and the
-generator's state are those of one ``rng.random()`` per downhill
-proposal.
+The walk draws each block of ``ADAPT_WINDOW`` increments with one call
+and one ``rng.random()`` per downhill proposal, in step order, and
+writes the block's recorded rows at its end.
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
-from operator import add, length_hint
-from types import SimpleNamespace
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -234,34 +230,23 @@ def _walk(rng, log_target, state, chol, out, thin=1):
 
     Every ``thin``-th state is written to a row of ``out`` as (S, *y).
     Returns the final state and the number of accepted moves.  Works in
-    blocks of ``ADAPT_WINDOW`` steps, each with its own draws of
-    increments and uniforms (see the module docstring) and one write of
-    its rows; ``rng`` is left as one ``rng.random()`` per downhill
-    proposal would leave it.
+    blocks of ``ADAPT_WINDOW`` steps (see the module docstring).
     """
     y, lp, S = state
     steps = thin * len(out)
     accepts = written = 0
-    bit_generator = rng.bit_generator
     for start in range(0, steps, ADAPT_WINDOW):
         m = min(ADAPT_WINDOW, steps - start)
         increments = (rng.standard_normal((m, len(y))) @ chol.T).tolist()
-        rewind = bit_generator.state
-        uniforms = iter(rng.random(m).tolist())
-        block_rng = SimpleNamespace(random=uniforms.__next__)
         rows = []
         for i, inc in enumerate(increments, start + 1):
             prop = list(map(add, y, inc))
             lp_prop, S_prop = log_target(prop)
-            if metropolis_accept(block_rng, lp_prop - lp):
+            if metropolis_accept(rng, lp_prop - lp):
                 y, lp, S = prop, lp_prop, S_prop
                 accepts += 1
             if i % thin == 0:
                 rows.append((S, *y))
-        # PCG64 spends one 64-bit output per uniform, and a list iterator's
-        # length hint is exactly the number of uniforms left.
-        bit_generator.state = rewind
-        bit_generator.advance(m - length_hint(uniforms))
         if rows:
             out[written : written + len(rows)] = rows
             written += len(rows)

@@ -85,12 +85,10 @@ def _duration_units(days: bool) -> str:
     return "days" if days else "years"
 
 
-def _model_from_fit_doc(path: str, days: Optional[bool] = None):
-    """(parameters, number fitted) from a FitResult JSON file, the one
-    reader of fit.json; DataError names the file and the key at fault.
-    Given ``days``, DataError also unless the fit's catalog was read in
-    the units this command reads its catalog in (a fit.json without
-    ``duration_units`` was fitted in years)."""
+def _read_fit_doc(path: str) -> dict:
+    """A FitResult JSON file as a dict, the one reader of fit.json.  Its
+    ``duration_units`` is what ``fit`` read the catalog file's durations
+    as (a file without the key: years)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -98,17 +96,21 @@ def _model_from_fit_doc(path: str, days: Optional[bool] = None):
         raise DataError(f"cannot read fit JSON {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"fit JSON {path!r} is not an object")
+    units = doc.setdefault("duration_units", "years")
+    if units not in ("days", "years"):
+        raise DataError(f"unsupported duration_units {units!r} in fit JSON {path!r}")
+    return doc
+
+
+def _model_from_fit_doc(path: str, doc: Optional[dict] = None):
+    """(parameters, number fitted) from a FitResult JSON file, or from
+    ``doc`` when _read_fit_doc has read it; DataError names the file and
+    the key at fault."""
+    if doc is None:
+        doc = _read_fit_doc(path)
     kind = doc.get("model_kind")
     if not isinstance(kind, str) or kind not in _FIT_MODELS:
         raise DataError(f"unsupported model_kind {kind!r} in fit JSON {path!r}")
-    if days is not None:
-        units = doc.get("duration_units", "years")
-        if units != _duration_units(days):
-            raise DataError(
-                f"fit JSON {path!r} was fitted to durations in {units}, but "
-                f"this catalog is read in {_duration_units(days)}; pass --days "
-                "to both commands or to neither"
-            )
     model = _FIT_MODELS[kind]
     est = doc.get("estimates", {})
     try:
@@ -159,8 +161,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gof(args) -> int:
-    cat = _load_catalog(args.catalog, days=args.days).completed_only()
-    model, k_fitted = _model_from_fit_doc(args.fit, days=args.days)
+    """Read the catalog file as ``fit`` read it, in days or years."""
+    doc = _read_fit_doc(args.fit)
+    cat = _load_catalog(args.catalog, days=doc["duration_units"] == "days")
+    cat = cat.completed_only()
+    model, k_fitted = _model_from_fit_doc(args.fit, doc)
     p = _pinned(model, args.silica)
     inverse_cdf = exp_quantile if isinstance(p, ExpParams) else quantile
     report = gof.gof_test(
@@ -291,7 +296,17 @@ def cmd_empirical(args) -> int:
     fractions, fitted model curves, and median-shift segments for
     ongoing records.  A refused median shift leaves no file behind."""
     cat = _load_catalog(args.catalog, days=args.days)
-    model = _model_from_fit_doc(args.fit, days=args.days)[0] if args.fit else None
+    model = None
+    if args.fit:
+        doc = _read_fit_doc(args.fit)
+        if doc["duration_units"] != _duration_units(args.days):
+            raise DataError(
+                f"fit JSON {args.fit!r} was fitted to a catalog file read in "
+                f"{doc['duration_units']}, but empirical reads {args.catalog!r} "
+                f"in {_duration_units(args.days)}; pass --days to both fit and "
+                "empirical or to neither"
+            )
+        model = _model_from_fit_doc(args.fit, doc)[0]
 
     lines = ["class,duration,fraction_exceeding"]
     groups = {"all": cat}
@@ -342,13 +357,6 @@ def build_parser() -> _Parser:
     def add_out(p):
         p.add_argument("--out", default=".", help="output directory (default: .)")
 
-    def add_days(p):
-        p.add_argument(
-            "--days",
-            action="store_true",
-            help=f"catalog durations are days; divide by {DAYS_PER_YEAR}",
-        )
-
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit")
     p_fit.add_argument("catalog")
     p_fit.add_argument(
@@ -366,7 +374,11 @@ def build_parser() -> _Parser:
     p_fit.add_argument(
         "--completed-only", action="store_true", help="drop ongoing records first"
     )
-    add_days(p_fit)
+    p_fit.add_argument(
+        "--days",
+        action="store_true",
+        help=f"catalog durations are days; divide by {DAYS_PER_YEAR}",
+    )
     add_out(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -375,7 +387,6 @@ def build_parser() -> _Parser:
     p_gof.add_argument("--fit", required=True, help="FitResult JSON")
     p_gof.add_argument("--bins", type=int, default=gof.DEFAULT_BINS)
     p_gof.add_argument("--silica", type=float, help="pin a regression fit")
-    add_days(p_gof)
     add_out(p_gof)
     p_gof.set_defaults(func=cmd_gof)
 
@@ -443,7 +454,7 @@ def build_parser() -> _Parser:
     )
     p_emp.add_argument("catalog")
     p_emp.add_argument("--fit", help="FitResult JSON for model curves/segments")
-    add_days(p_emp)
+    p_emp.add_argument("--days", action="store_true")
     add_out(p_emp)
     p_emp.set_defaults(func=cmd_empirical)
 

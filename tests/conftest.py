@@ -91,9 +91,8 @@ def reference_log_target(kernel, prior):
 
 
 def reference_walk(rng, log_target, state, chol, out, thin=1):
-    """Random-walk Metropolis with one ``rng.random()`` per downhill
-    proposal and one row written per recorded step: the reference for
-    ``bayes._walk``'s block-wise draws and writes."""
+    """Random-walk Metropolis with one row written per recorded step:
+    the reference for ``bayes._walk``'s block-wise writes."""
     y, lp, S = state
     steps = thin * len(out)
     accepts = 0

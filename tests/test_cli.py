@@ -257,37 +257,60 @@ def test_days_flag_scales_fit(tmp_path, sim_catalog):
     assert d["beta"] == pytest.approx(y["beta"] / 365.25, rel=1e-6)
 
 
-@pytest.mark.parametrize("command", ["gof", "empirical"])
-def test_fit_units_must_match_catalog_units(tmp_path, capsys, sim_catalog, command):
-    # A fit in days checked against the catalog read in years once gave
-    # chi-square 1948 and p = 0 with exit 0.
+def test_gof_reads_the_catalog_in_the_fits_units(tmp_path, sim_catalog):
+    # gof once read the catalog in years after fit --days: chi-square 1948,
+    # p = 0, exit 0.  Now it reads it as the fit did.
+    reports = {}
+    for units, days in (("years", []), ("days", ["--days"])):
+        out = tmp_path / units
+        assert run(["fit", sim_catalog, *days, "--out", out]) == 0
+        fit_doc = json.loads((out / "fit.json").read_text())
+        assert fit_doc["duration_units"] == units
+        assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
+        reports[units] = json.loads((out / "gof.json").read_text())
+    assert reports["days"]["observed"] == reports["years"]["observed"]
+    assert reports["days"]["statistic"] == pytest.approx(
+        reports["years"]["statistic"], rel=1e-6
+    )
+    assert reports["days"]["p_value"] > 1e-4
+
+
+def test_empirical_refuses_a_fit_in_other_units(tmp_path, capsys, sim_catalog):
     fit_days, fit_years = tmp_path / "fit_days", tmp_path / "fit_years"
     assert run(["fit", sim_catalog, "--days", "--out", fit_days]) == 0
     assert run(["fit", sim_catalog, "--out", fit_years]) == 0
-    assert json.loads((fit_days / "fit.json").read_text())["duration_units"] == "days"
-    assert json.loads((fit_years / "fit.json").read_text())["duration_units"] == "years"
     capsys.readouterr()
     for fit_dir, days in ((fit_days, []), (fit_years, ["--days"])):
-        out = tmp_path / f"{command}_{fit_dir.name}"
-        args = [command, sim_catalog, "--fit", fit_dir / "fit.json", *days]
+        out = tmp_path / f"empirical_{fit_dir.name}"
+        args = ["empirical", sim_catalog, "--fit", fit_dir / "fit.json", *days]
         assert run(args + ["--out", out]) == 2
         err = capsys.readouterr().err
-        assert "days" in err and "years" in err
+        assert "catalog file read in" in err and "days" in err and "years" in err
         assert list(out.iterdir()) == []
     for fit_dir, days in ((fit_days, ["--days"]), (fit_years, [])):
-        args = [command, sim_catalog, "--fit", fit_dir / "fit.json", *days]
+        args = ["empirical", sim_catalog, "--fit", fit_dir / "fit.json", *days]
         assert run(args + ["--out", tmp_path / "ok"]) == 0
 
 
-def test_fit_json_without_units_reads_as_years(tmp_path, sim_catalog):
+def test_fit_json_units_key(tmp_path, capsys, sim_catalog):
+    # A fit.json without duration_units was fitted in years.
     out = tmp_path / "fit"
     assert run(["fit", sim_catalog, "--out", out]) == 0
+    assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
+    with_key = (out / "gof.json").read_bytes()
     doc = json.loads((out / "fit.json").read_text())
     del doc["duration_units"]
     (out / "fit.json").write_text(json.dumps(doc))
     assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
-    assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--days",
+    assert (out / "gof.json").read_bytes() == with_key
+    assert run(["empirical", sim_catalog, "--fit", out / "fit.json", "--days",
                 "--out", tmp_path / "days"]) == 2
+    (out / "fit.json").write_text(json.dumps({**doc, "duration_units": "weeks"}))
+    capsys.readouterr()
+    assert run(["gof", sim_catalog, "--fit", out / "fit.json",
+                "--out", tmp_path / "weeks"]) == 2
+    assert "unsupported duration_units 'weeks'" in capsys.readouterr().err
+    assert list((tmp_path / "weeks").iterdir()) == []
 
 
 def test_gof_bins_below_three_exit_1(tmp_path, sim_catalog):
