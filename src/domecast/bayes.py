@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import tempfile
 import warnings
@@ -128,6 +129,12 @@ class McmcConfig:
     def __post_init__(self):
         if self.proposal_scales is not None:  # as read back from JSON, a list
             object.__setattr__(self, "proposal_scales", tuple(self.proposal_scales))
+        for name in ("seed", "burn_in", "iterations", "thin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.iterations < 1 or self.thin < 1:
@@ -139,7 +146,6 @@ class McmcConfig:
 @dataclass(frozen=True)
 class PosteriorChain:
     draws: np.ndarray  # (n_draws, n_params), natural scale
-    param_names: tuple[str, ...]
     acceptance_rate: float
     config: McmcConfig
     model_kind: str
@@ -147,6 +153,10 @@ class PosteriorChain:
     rng_algorithm: str = RNG_ALGORITHM
     # Frozen proposal: lower Cholesky factor over MODELS[model_kind].theta.
     proposal_cholesky: Optional[np.ndarray] = None
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return MODELS[self.model_kind].params
 
     @property
     def n_draws(self) -> int:
@@ -326,7 +336,6 @@ def run_mh(
     draws[:, 0] = rng.standard_gamma(shape, len(draws)) / (prior.b + draws[:, 0])
     return PosteriorChain(
         draws=draws,
-        param_names=MODELS[model_kind].params,
         acceptance_rate=accepts / config.iterations,
         config=config,
         model_kind=model_kind,
@@ -488,7 +497,6 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
         )
     return PosteriorChain(
         draws=draws,
-        param_names=names,
         acceptance_rate=acceptance_rate,
         config=config,
         model_kind=kind,

@@ -1,8 +1,10 @@
 """Event-duration catalogs: parsing, validation, summaries.
 
-A catalog row is one eruption with a duration in years, a censoring flag
-(ongoing eruptions only give a lower bound on duration), a composition
-class, and an optional silica percentage used by the regression model.
+A catalog row is one eruption with a duration, a censoring flag (ongoing
+eruptions only give a lower bound on duration), a composition class, and
+an optional silica percentage used by the regression model.  The CSV's
+duration column names its units, ``duration_yr`` or ``duration_days``;
+every Catalog in memory holds years.
 
 A ``Catalog`` stores its rows as read-only numpy columns: ``names`` and
 ``comp_class`` (object arrays of str and ``CompositionClass``),
@@ -37,6 +39,9 @@ __all__ = [
 ]
 
 CSV_HEADER = ["volcano", "start_year", "duration_yr", "status", "class", "silica_pct"]
+DAYS_PER_YEAR = 365.25
+# The duration column's accepted headings -> the file's duration units per year
+_DURATION_UNITS = {"duration_yr": 1.0, "duration_days": DAYS_PER_YEAR}
 
 SILICA_MIN = 30.0
 SILICA_MAX = 90.0
@@ -104,38 +109,34 @@ class Catalog:
     censored: np.ndarray
     comp_class: np.ndarray
     silica: np.ndarray
-    as_of_date: Optional[str]
 
-    def __init__(
-        self, records: Iterable[EruptionRecord], as_of_date: Optional[str] = None
-    ):
+    def __init__(self, records: Iterable[EruptionRecord]):
         records = tuple(records)
         columns = (
             [getattr(r, f.name) for r in records] for f in fields(EruptionRecord)
         )
-        self._set_columns(as_of_date, **dict(zip(_COLUMNS, columns)))
+        self._set_columns(**dict(zip(_COLUMNS, columns)))
 
     @classmethod
-    def _from_columns(cls, as_of_date=None, lines=None, **columns) -> "Catalog":
+    def _from_columns(cls, lines=None, **columns) -> "Catalog":
         """Package-private: a catalog over the given columns, checked as
         every Catalog is; ``lines`` numbers the rows in its messages."""
         catalog = object.__new__(cls)
-        catalog._set_columns(as_of_date, lines, **columns)
+        catalog._set_columns(lines, **columns)
         return catalog
 
-    def _set_columns(self, as_of_date, lines=None, **columns) -> None:
+    def _set_columns(self, lines=None, **columns) -> None:
         for name, dtype in zip(_COLUMNS, _DTYPES):
             column = np.asarray(columns[name], dtype=dtype)  # None -> NaN
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "as_of_date", as_of_date)
         _check_columns(self.names, self.start_year, self.duration, self.silica, lines)
 
     def _columns(self) -> dict:
         return {name: getattr(self, name) for name in _COLUMNS}
 
     def _replace(self, **columns) -> "Catalog":
-        return Catalog._from_columns(self.as_of_date, **{**self._columns(), **columns})
+        return Catalog._from_columns(**{**self._columns(), **columns})
 
     def _take(self, index) -> "Catalog":
         return self._replace(**{k: v[index] for k, v in self._columns().items()})
@@ -178,7 +179,7 @@ class Catalog:
 
     def _key(self) -> tuple:
         # The rows hold None for missing silica, so NaN silica compares equal.
-        return self.as_of_date, tuple(self._rows())
+        return tuple(self._rows())
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -197,33 +198,38 @@ class CatalogSummary:
     by_class: dict = field(default_factory=dict)  # class value -> (total, completed, ongoing)
 
 
-def parse_catalog(source, as_of_date: Optional[str] = None) -> Catalog:
+def parse_catalog(source) -> Catalog:
     """Parse a catalog from CSV text or a readable stream.
 
     Expected header: ``volcano,start_year,duration_yr,status,class,silica_pct``
     with status in {completed, ongoing} and class in
-    {mafic, intermediate, evolved}.  Lines starting with ``#`` are ignored.
+    {mafic, intermediate, evolved}; ``duration_days`` in place of
+    ``duration_yr`` gives durations in days, which are divided by
+    ``DAYS_PER_YEAR``.  Lines starting with ``#`` are ignored.
 
-    Raises CatalogError with a line number on any malformed row.
+    Raises CatalogError with a line number on any malformed row, quoting
+    its values as the file gives them.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
 
     rows = []  # (line number, the row's values in _COLUMNS order)
-    header_seen = False
+    units_per_year = None  # set by the header
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         row = next(csv.reader([line]))
-        if not header_seen:
+        if units_per_year is None:
             got = [c.strip().lower() for c in row]
+            if len(got) == 6 and got[2] in _DURATION_UNITS:
+                units_per_year = _DURATION_UNITS[got[2]]
+                got[2] = CSV_HEADER[2]
             if got != CSV_HEADER:
                 raise CatalogError(
                     f"line {line_no}: expected header {','.join(CSV_HEADER)!r}, "
-                    f"got {line!r}"
+                    f"or duration_days in place of duration_yr, got {line!r}"
                 )
-            header_seen = True
             continue
         if len(row) != 6:
             raise CatalogError(f"line {line_no}: expected 6 fields, got {len(row)}")
@@ -252,12 +258,16 @@ def parse_catalog(source, as_of_date: Optional[str] = None) -> Catalog:
             (line_no, name, start_year, duration, status_l == "ongoing", comp, silica)
         )
 
-    if not header_seen:
+    if units_per_year is None:
         raise CatalogError("empty catalog: no header found")
     if not rows:
         raise CatalogError("empty catalog")
     lines, *columns = zip(*rows)
-    return Catalog._from_columns(as_of_date, lines, **dict(zip(_COLUMNS, columns)))
+    catalog = Catalog._from_columns(lines, **dict(zip(_COLUMNS, columns)))
+    if units_per_year == 1.0:
+        return catalog
+    years = catalog.duration / units_per_year
+    return Catalog._from_columns(lines, **{**catalog._columns(), "duration": years})
 
 
 def serialize_catalog(catalog: Catalog) -> str:

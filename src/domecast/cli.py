@@ -20,6 +20,7 @@ import numpy as np
 
 from . import bayes, fit, forecast, gof, simulate
 from .catalog import (
+    DAYS_PER_YEAR,
     Catalog,
     CompositionClass,
     parse_catalog,
@@ -28,8 +29,6 @@ from .catalog import (
 )
 from .likelihood import MODELS, SILICA_CENTER, RegressionParams
 from .pareto import ExpParams, GPaParams, condition_on_age, exp_quantile, quantile, survival
-
-DAYS_PER_YEAR = 365.25
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,15 +61,12 @@ def _write_json(path: str, doc: dict) -> None:
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _load_catalog(path: str, days: bool = False) -> Catalog:
+def _load_catalog(path: str) -> Catalog:
     try:
         with open(path) as fh:
-            cat = parse_catalog(fh)
+            return parse_catalog(fh)
     except OSError as exc:
         raise DataError(f"cannot read catalog {path!r}: {exc}") from exc
-    if days:
-        cat = cat._replace(duration=cat.duration / DAYS_PER_YEAR)
-    return cat
 
 
 # fit.json's model_kind -> its entry of the model table
@@ -81,14 +77,10 @@ _FIT_MODELS = {
 }
 
 
-def _duration_units(days: bool) -> str:
-    return "days" if days else "years"
-
-
 def _read_fit_doc(path: str) -> dict:
-    """A FitResult JSON file as a dict, the one reader of fit.json.  Its
-    ``duration_units`` is what ``fit`` read the catalog file's durations
-    as (a file without the key: years)."""
+    """A FitResult JSON file as a dict, the one reader of fit.json.  A
+    ``duration_units`` other than ``years`` was written by a ``fit`` that
+    read the catalog's durations as days; its estimates are refused."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -96,18 +88,19 @@ def _read_fit_doc(path: str) -> dict:
         raise DataError(f"cannot read fit JSON {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"fit JSON {path!r} is not an object")
-    units = doc.setdefault("duration_units", "years")
-    if units not in ("days", "years"):
-        raise DataError(f"unsupported duration_units {units!r} in fit JSON {path!r}")
+    units = doc.get("duration_units", "years")
+    if units != "years":
+        raise DataError(
+            f"fit JSON {path!r} was fitted in duration_units {units!r}; re-fit "
+            "from the catalog with its duration column headed duration_days"
+        )
     return doc
 
 
-def _model_from_fit_doc(path: str, doc: Optional[dict] = None):
-    """(parameters, number fitted) from a FitResult JSON file, or from
-    ``doc`` when _read_fit_doc has read it; DataError names the file and
-    the key at fault."""
-    if doc is None:
-        doc = _read_fit_doc(path)
+def _model_from_fit_doc(path: str):
+    """(parameters, number fitted) from a FitResult JSON file; DataError
+    names the file and the key at fault."""
+    doc = _read_fit_doc(path)
     kind = doc.get("model_kind")
     if not isinstance(kind, str) or kind not in _FIT_MODELS:
         raise DataError(f"unsupported model_kind {kind!r} in fit JSON {path!r}")
@@ -145,7 +138,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
-    cat = _load_catalog(args.catalog, days=args.days)
+    if args.model != "grouped" and (args.comp_class or args.family):
+        raise UsageError("--class and --family need --model grouped")
+    cat = _load_catalog(args.catalog)
     if args.completed_only:
         cat = cat.completed_only()
     if args.model != "grouped":
@@ -154,18 +149,14 @@ def cmd_fit(args) -> int:
         raise DataError("--class is required for the grouped model")
     else:
         comp_class = CompositionClass(args.comp_class)
-        result = fit.fit_grouped(cat, comp_class, family=args.family)
-    doc = {**result.to_dict(), "duration_units": _duration_units(args.days)}
-    _write_json(os.path.join(args.out, "fit.json"), doc)
+        result = fit.fit_grouped(cat, comp_class, family=args.family or "gpa")
+    _write_json(os.path.join(args.out, "fit.json"), result.to_dict())
     return EXIT_OK
 
 
 def cmd_gof(args) -> int:
-    """Read the catalog file as ``fit`` read it, in days or years."""
-    doc = _read_fit_doc(args.fit)
-    cat = _load_catalog(args.catalog, days=doc["duration_units"] == "days")
-    cat = cat.completed_only()
-    model, k_fitted = _model_from_fit_doc(args.fit, doc)
+    cat = _load_catalog(args.catalog).completed_only()
+    model, k_fitted = _model_from_fit_doc(args.fit)
     p = _pinned(model, args.silica)
     inverse_cdf = exp_quantile if isinstance(p, ExpParams) else quantile
     report = gof.gof_test(
@@ -197,9 +188,7 @@ def cmd_forecast(args) -> int:
     t_grid = _parse_grid(args.grid) if args.grid else None
     quartiles = curve = draw_curves = None
     if args.chain:
-        meta_path = args.chain_meta or os.path.join(
-            os.path.dirname(args.chain) or ".", "chain_meta.json"
-        )
+        meta_path = os.path.join(os.path.dirname(args.chain) or ".", "chain_meta.json")
         try:
             chain = bayes.load_chain(args.chain, meta_path)
         except OSError as exc:
@@ -295,18 +284,8 @@ def cmd_empirical(args) -> int:
     """Emit plain-CSV plotting data: per-class empirical exceedance
     fractions, fitted model curves, and median-shift segments for
     ongoing records.  A refused median shift leaves no file behind."""
-    cat = _load_catalog(args.catalog, days=args.days)
-    model = None
-    if args.fit:
-        doc = _read_fit_doc(args.fit)
-        if doc["duration_units"] != _duration_units(args.days):
-            raise DataError(
-                f"fit JSON {args.fit!r} was fitted to a catalog file read in "
-                f"{doc['duration_units']}, but empirical reads {args.catalog!r} "
-                f"in {_duration_units(args.days)}; pass --days to both fit and "
-                "empirical or to neither"
-            )
-        model = _model_from_fit_doc(args.fit, doc)[0]
+    cat = _load_catalog(args.catalog)
+    model = _model_from_fit_doc(args.fit)[0] if args.fit else None
 
     lines = ["class,duration,fraction_exceeding"]
     groups = {"all": cat}
@@ -370,14 +349,9 @@ def build_parser() -> _Parser:
         choices=[c.value for c in CompositionClass],
         help="composition class for the grouped model",
     )
-    p_fit.add_argument("--family", choices=["gpa", "exponential"], default="gpa")
+    p_fit.add_argument("--family", choices=["gpa", "exponential"], help="default: gpa")
     p_fit.add_argument(
         "--completed-only", action="store_true", help="drop ongoing records first"
-    )
-    p_fit.add_argument(
-        "--days",
-        action="store_true",
-        help=f"catalog durations are days; divide by {DAYS_PER_YEAR}",
     )
     add_out(p_fit)
     p_fit.set_defaults(func=cmd_fit)
@@ -406,7 +380,6 @@ def build_parser() -> _Parser:
     src = p_fc.add_mutually_exclusive_group(required=True)
     src.add_argument("--chain", help="posterior chain CSV (Bayes mode)")
     src.add_argument("--fit", help="FitResult JSON (plug-in mode)")
-    p_fc.add_argument("--chain-meta", help="chain provenance JSON sidecar")
     p_fc.add_argument("--age", type=float, required=True, help="eruption age s")
     p_fc.add_argument(
         "--days", action="store_true", help="--age is in days, not years"
@@ -454,7 +427,6 @@ def build_parser() -> _Parser:
     )
     p_emp.add_argument("catalog")
     p_emp.add_argument("--fit", help="FitResult JSON for model curves/segments")
-    p_emp.add_argument("--days", action="store_true")
     add_out(p_emp)
     p_emp.set_defaults(func=cmd_empirical)
 

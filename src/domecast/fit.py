@@ -120,12 +120,6 @@ class ModelScore:
 class ModelComparison:
     scores: tuple[ModelScore, ...]
 
-    def best_by_aic(self) -> ModelScore:
-        return min(self.scores, key=lambda s: s.aic)
-
-    def best_by_bic(self) -> ModelScore:
-        return min(self.scores, key=lambda s: s.bic)
-
 
 def aic(nllh: float, k: int) -> float:
     return 2.0 * k + 2.0 * nllh

@@ -80,8 +80,8 @@ def chisq_tail(x: float, dof: int) -> float:
     the regularized incomplete gamma Q(dof/2, x/2)."""
     if not x >= 0:  # NaN too
         raise ValueError(f"x must be >= 0, got {x}")
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
+    if not (dof >= 1 and float(dof).is_integer()):  # NaN and inf too
+        raise ValueError(f"dof must be a whole number >= 1, got {dof}")
     return float(gammaincc(dof / 2.0, x / 2.0))
 
 

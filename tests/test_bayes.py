@@ -87,6 +87,21 @@ def test_mcmc_config_validation():
         McmcConfig(seed=0, iterations=1001, thin=10)
     with pytest.raises(ValueError):
         McmcConfig(seed=0, burn_in=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        McmcConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("burn_in", math.nan), ("seed", 1.5), ("iterations", 10.0), ("thin", "1"),
+     ("seed", True)],
+)
+def test_mcmc_config_refuses_a_non_integer_count(field, value):
+    # burn_in=NaN was once accepted, and run_mh then died with TypeError.
+    counts = dict(seed=0, burn_in=0, iterations=10, thin=1)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        McmcConfig(**{**counts, field: value})
+
 
 
 def test_log_posterior_reference_example():
@@ -185,7 +200,6 @@ def _const_chain(draws):
 
     return PosteriorChain(
         draws=draws,
-        param_names=("alpha", "beta"),
         acceptance_rate=0.3,
         config=McmcConfig(seed=0, burn_in=0, iterations=draws.shape[0], thin=1),
         model_kind="aggregate",

@@ -66,6 +66,34 @@ def test_non_finite_year_or_duration_reports_line():
             parse_catalog(HEADER + rows.format(bad))
 
 
+def test_duration_days_header_reads_days_as_years():
+    rows = "A,1990,730.5,completed,mafic,\nB,1995,7189,ongoing,evolved,70.5\n"
+    days = parse_catalog(HEADER.replace("duration_yr", "Duration_Days") + rows)
+    assert days.duration.tolist() == [2.0, 7189 / 365.25]
+    assert days == parse_catalog(HEADER + "A,1990,2.0,completed,mafic,\n"
+                                 f"B,1995,{7189 / 365.25!r},ongoing,evolved,70.5\n")
+    # Serialized in years, it reads back equal.
+    assert parse_catalog(serialize_catalog(days)) == days
+
+
+def test_duration_days_bad_row_quotes_the_file():
+    header = HEADER.replace("duration_yr", "duration_days")
+    text = header + "A,1990,730.5,completed,mafic,\nB,1991,-3,completed,mafic,\n"
+    with pytest.raises(CatalogError) as caught:
+        parse_catalog(text)
+    assert str(caught.value) == "line 3: duration must be finite and > 0, got -3.0 for 'B'"
+    # A day count that is 0 years in floating point is named by its line too.
+    with pytest.raises(CatalogError, match="line 3: duration must .* got 0.0 for 'B'"):
+        parse_catalog(text.replace("-3", "5e-324"))
+
+
+def test_header_names_both_duration_columns():
+    for header in ("volcano,start_year,duration_hr,status,class,silica_pct\n",
+                   "volcano,start_year,duration_days,status,class\n"):
+        with pytest.raises(CatalogError, match="line 1: expected header .*duration_days"):
+            parse_catalog(header + "A,1990,2.0,completed,mafic,\n")
+
+
 def test_unknown_class_and_status():
     with pytest.raises(CatalogError, match="composition class"):
         parse_catalog(HEADER + "A,1990,2.0,completed,granitic,\n")

@@ -41,17 +41,13 @@ records = st.builds(
     composition_class=st.sampled_from(CompositionClass),
     silica_pct=st.none() | st.floats(30.0, 90.0),
 )
-catalogs = st.builds(
-    Catalog,
-    st.lists(records, max_size=25).map(tuple),
-    st.none() | st.just("2014-03-01"),
-)
+catalogs = st.builds(Catalog, st.lists(records, max_size=25).map(tuple))
 
 
 @SETTINGS
 @given(cat=catalogs)
 def test_records_round_trip(cat):
-    again = Catalog(cat.records, cat.as_of_date)
+    again = Catalog(cat.records)
     assert again == cat and hash(again) == hash(cat)
     assert again.records == cat.records
 
@@ -61,13 +57,11 @@ def test_records_round_trip(cat):
 def test_column_operations_match_record_oracles(cat, other):
     rows = cat.records
     for cls in CompositionClass:
-        oracle = Catalog(
-            (r for r in rows if r.composition_class is cls), cat.as_of_date
-        )
+        oracle = Catalog(r for r in rows if r.composition_class is cls)
         assert cat.filter_class(cls) == oracle
-    completed = Catalog((r for r in rows if not r.censored), cat.as_of_date)
+    completed = Catalog(r for r in rows if not r.censored)
     assert cat.completed_only() == completed
-    assert cat.concat(other) == Catalog(rows + other.records, cat.as_of_date)
+    assert cat.concat(other) == Catalog(rows + other.records)
     assert (cat.n, cat.n1, cat.n0) == (
         len(rows),
         sum(not r.censored for r in rows),
@@ -79,7 +73,7 @@ def test_column_operations_match_record_oracles(cat, other):
 @given(cat=catalogs.filter(lambda c: c.n > 0))
 def test_serialize_parse_serialize_is_stable(cat):
     text = serialize_catalog(cat)
-    again = parse_catalog(text, cat.as_of_date)
+    again = parse_catalog(text)
     assert serialize_catalog(again) == text
     assert again == cat
 
@@ -88,7 +82,6 @@ def test_equality_reads_every_column():
     row = EruptionRecord("A", 1990.0, 2.0, False, CompositionClass.MAFIC)
     a = Catalog([row])
     assert np.isnan(a.silica[0]) and a == Catalog([row])  # NaN silica is equal
-    assert a != Catalog([row], "2014-03-01")
     changes = dict(
         volcano_name="B",
         start_year=1991.0,
@@ -145,8 +138,6 @@ def test_catalog_is_immutable(small_catalog, silica_catalog):
     for cat in derived:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cat.duration = np.ones(cat.n)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cat.as_of_date = "2014-03-01"
         for column in (
             cat.names, cat.start_year, cat.duration,
             cat.censored, cat.comp_class, cat.silica,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -246,71 +247,123 @@ def test_recovery_cli(tmp_path):
     assert set(doc["bias"]) == {"alpha", "beta"}
 
 
-def test_days_flag_scales_fit(tmp_path, sim_catalog):
-    out_y = tmp_path / "years"
-    out_d = tmp_path / "days"
-    assert run(["fit", sim_catalog, "--out", out_y]) == 0
-    assert run(["fit", sim_catalog, "--days", "--out", out_d]) == 0
-    y = json.loads((out_y / "fit.json").read_text())["estimates"]
-    d = json.loads((out_d / "fit.json").read_text())["estimates"]
-    assert d["alpha"] == pytest.approx(y["alpha"], rel=1e-6)
-    assert d["beta"] == pytest.approx(y["beta"] / 365.25, rel=1e-6)
+def _close(got, want, rel):
+    """``got`` has ``want``'s structure and text, its floats equal to rel."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _close(got[key], want[key], rel)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _close(g, w, rel)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=rel)
+    else:
+        assert got == want
 
 
-def test_gof_reads_the_catalog_in_the_fits_units(tmp_path, sim_catalog):
-    # gof once read the catalog in years after fit --days: chi-square 1948,
-    # p = 0, exit 0.  Now it reads it as the fit did.
-    reports = {}
-    for units, days in (("years", []), ("days", ["--days"])):
-        out = tmp_path / units
-        assert run(["fit", sim_catalog, *days, "--out", out]) == 0
-        fit_doc = json.loads((out / "fit.json").read_text())
-        assert fit_doc["duration_units"] == units
-        assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
-        reports[units] = json.loads((out / "gof.json").read_text())
-    assert reports["days"]["observed"] == reports["years"]["observed"]
-    assert reports["days"]["statistic"] == pytest.approx(
-        reports["years"]["statistic"], rel=1e-6
-    )
-    assert reports["days"]["p_value"] > 1e-4
+def _csv_cells(path):
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    return [[cell(c) for c in row.split(",")] for row in path.read_text().splitlines()]
 
 
-def test_empirical_refuses_a_fit_in_other_units(tmp_path, capsys, sim_catalog):
-    fit_days, fit_years = tmp_path / "fit_days", tmp_path / "fit_years"
-    assert run(["fit", sim_catalog, "--days", "--out", fit_days]) == 0
-    assert run(["fit", sim_catalog, "--out", fit_years]) == 0
-    capsys.readouterr()
-    for fit_dir, days in ((fit_days, []), (fit_years, ["--days"])):
-        out = tmp_path / f"empirical_{fit_dir.name}"
-        args = ["empirical", sim_catalog, "--fit", fit_dir / "fit.json", *days]
-        assert run(args + ["--out", out]) == 2
-        err = capsys.readouterr().err
-        assert "catalog file read in" in err and "days" in err and "years" in err
-        assert list(out.iterdir()) == []
-    for fit_dir, days in ((fit_days, ["--days"]), (fit_years, [])):
-        args = ["empirical", sim_catalog, "--fit", fit_dir / "fit.json", *days]
-        assert run(args + ["--out", tmp_path / "ok"]) == 0
+@pytest.fixture()
+def catalog_pair(tmp_path):
+    """A simulated catalog with silica and ongoing records, and a copy whose
+    duration column is headed duration_days, every duration x 365.25."""
+    out = tmp_path / "sim_years"
+    assert run(["simulate", "--alpha", 0.65, "--beta", 0.70, "--gamma-alpha", 0.05,
+                "--gamma-beta", 0.13, "--n", 300, "--censoring", "random_fraction",
+                "--fraction", 0.1, "--seed", 33, "--out", out]) == 0
+    years = out / "catalog.csv"
+    header, *rows = years.read_text().splitlines()
+    lines = [header.replace(",duration_yr,", ",duration_days,")]
+    for row in rows:
+        cells = row.split(",")
+        cells[2] = repr(float(cells[2]) * 365.25)
+        lines.append(",".join(cells))
+    days = tmp_path / "catalog_days.csv"
+    days.write_text("\n".join(lines) + "\n")
+    return years, days
 
 
-def test_fit_json_units_key(tmp_path, capsys, sim_catalog):
-    # A fit.json without duration_units was fitted in years.
+def test_duration_days_header_gives_the_same_results(tmp_path, catalog_pair):
+    outs = {}
+    for catalog in catalog_pair:
+        out = outs[catalog] = tmp_path / catalog.stem
+        reg = out / "reg"
+        assert run(["fit", catalog, "--out", out]) == 0
+        assert run(["fit", catalog, "--model", "regression", "--out", reg]) == 0
+        assert run(["gof", catalog, "--fit", out / "fit.json", "--out", out]) == 0
+        assert run(["empirical", catalog, "--fit", out / "fit.json",
+                    "--out", out / "emp"]) == 0
+        for kind, post in (("aggregate", out / "post"), ("regression", reg / "post")):
+            assert run(["posterior", catalog, "--model", kind, "--burn-in", 500,
+                        "--iters", 4000, "--thin", 10, "--seed", 3, "--out", post]) == 0
+    years, days = (outs[c] for c in catalog_pair)
+    for doc in ("fit.json", "reg/fit.json"):
+        want, got = (json.loads((d / doc).read_text()) for d in (years, days))
+        _close(got["estimates"], want["estimates"], 1e-9)
+    want, got = (json.loads((d / "gof.json").read_text()) for d in (years, days))
+    assert got["observed"] == want["observed"]
+    assert got["statistic"] == pytest.approx(want["statistic"], rel=1e-9)
+    for name in ("empirical.csv", "model_curve.csv", "segments.csv", "summary.json"):
+        if name.endswith(".json"):
+            want, got = (json.loads((d / "emp" / name).read_text()) for d in (years, days))
+        else:
+            want, got = (_csv_cells(d / "emp" / name) for d in (years, days))
+        _close(got, want, 1e-9)
+    for chain in ("post/chain.csv", "reg/post/chain.csv"):
+        want, got = (np.loadtxt(d / chain, delimiter=",", skiprows=1) for d in (years, days))
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
+def test_fit_json_in_days_is_refused(tmp_path, capsys, sim_catalog):
+    # Only the former `fit --days` wrote duration_units; its estimates were
+    # in days.  A file without the key, or with "years", reads as before.
     out = tmp_path / "fit"
     assert run(["fit", sim_catalog, "--out", out]) == 0
-    assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
-    with_key = (out / "gof.json").read_bytes()
     doc = json.loads((out / "fit.json").read_text())
-    del doc["duration_units"]
-    (out / "fit.json").write_text(json.dumps(doc))
+    assert "duration_units" not in doc
     assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
-    assert (out / "gof.json").read_bytes() == with_key
-    assert run(["empirical", sim_catalog, "--fit", out / "fit.json", "--days",
-                "--out", tmp_path / "days"]) == 2
-    (out / "fit.json").write_text(json.dumps({**doc, "duration_units": "weeks"}))
-    capsys.readouterr()
-    assert run(["gof", sim_catalog, "--fit", out / "fit.json",
-                "--out", tmp_path / "weeks"]) == 2
-    assert "unsupported duration_units 'weeks'" in capsys.readouterr().err
-    assert list((tmp_path / "weeks").iterdir()) == []
+    without_key = (out / "gof.json").read_bytes()
+    (out / "fit.json").write_text(json.dumps({**doc, "duration_units": "years"}))
+    assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
+    assert (out / "gof.json").read_bytes() == without_key
+    for units in ("days", "weeks"):
+        (out / "fit.json").write_text(json.dumps({**doc, "duration_units": units}))
+        for argv in (["gof", sim_catalog, "--fit", out / "fit.json"],
+                     ["empirical", sim_catalog, "--fit", out / "fit.json"],
+                     ["forecast", "--fit", out / "fit.json", "--age", 2.0, "--quartiles"]):
+            refused = tmp_path / f"refused_{units}_{argv[0]}"
+            capsys.readouterr()
+            assert run(argv + ["--out", refused]) == 2
+            err = capsys.readouterr().err
+            assert f"duration_units {units!r}" in err and "duration_days" in err
+            assert list(refused.iterdir()) == []
+
+
+def test_fit_class_and_family_need_grouped(tmp_path, capsys, sim_catalog):
+    for extra in (["--family", "exponential"], ["--class", "mafic"],
+                  ["--model", "regression", "--class", "evolved"]):
+        capsys.readouterr()
+        assert run(["fit", sim_catalog, *extra, "--out", tmp_path / "fit"]) == 1
+        assert "need --model grouped" in capsys.readouterr().err
+    assert list((tmp_path / "fit").iterdir()) == []
+
+
+def test_posterior_refuses_a_negative_seed(tmp_path, capsys, sim_catalog):
+    out = tmp_path / "post"
+    assert run(["posterior", sim_catalog, "--burn-in", 500, "--iters", 1000,
+                "--thin", 10, "--seed", -1, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert list(out.iterdir()) == []
 
 
 def test_gof_bins_below_three_exit_1(tmp_path, sim_catalog):
@@ -510,10 +563,12 @@ def _without(doc, key):
         (lambda meta: _without(meta, "acceptance_rate"), "'acceptance_rate'"),
         (lambda meta: {**meta, "prior": {**meta["prior"], "a": "flat"}}, "'prior'"),
         (lambda meta: {**meta, "config": {**meta["config"], "chains": 4}}, "'config'"),
+        (lambda meta: {**meta, "config": {**meta["config"], "burn_in": math.nan}},
+         "'config'"),
         (lambda meta: {**meta, "proposal": None}, "proposal"),
     ],
     ids=["list", "no-config", "no-acceptance-rate", "non-numeric-prior",
-         "unknown-config-key", "null-proposal"],
+         "unknown-config-key", "nan-burn-in", "null-proposal"],
 )
 def test_forecast_refuses_malformed_chain_meta(tmp_path, capsys, chain_csv, malform,
                                                fault):

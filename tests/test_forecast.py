@@ -20,11 +20,10 @@ SHV_AGE = 7189 / 365.25
 SINABUNG_AGE = 546 / 365.25
 
 
-def _chain(draws, names=("alpha", "beta"), kind="aggregate"):
+def _chain(draws, kind="aggregate"):
     draws = np.asarray(draws, dtype=float)
     return PosteriorChain(
         draws=draws,
-        param_names=tuple(names),
         acceptance_rate=0.3,
         config=McmcConfig(seed=0, burn_in=0, iterations=draws.shape[0], thin=1),
         model_kind=kind,
@@ -93,11 +92,7 @@ def test_predictive_exceedance_t_zero():
 
 
 def test_predictive_exceedance_regression_needs_silica():
-    chain = _chain(
-        [[0.65, 0.70, 0.04, 0.13]] * 120,
-        names=("alpha", "beta", "gamma_alpha", "gamma_beta"),
-        kind="regression",
-    )
+    chain = _chain([[0.65, 0.70, 0.04, 0.13]] * 120, kind="regression")
     with pytest.raises(ValueError, match="silica"):
         predictive_exceedance(chain, 1.0, None, 5.0)
     out = predictive_exceedance(chain, 1.0, 58.0, 5.0)
@@ -215,11 +210,7 @@ def _random_chain(n, kind, seed):
     if kind == "aggregate":
         return _chain(np.column_stack(cols))
     cols += [rng.normal(0.04, 0.02, n), rng.normal(0.13, 0.05, n)]
-    return _chain(
-        np.column_stack(cols),
-        names=("alpha", "beta", "gamma_alpha", "gamma_beta"),
-        kind="regression",
-    )
+    return _chain(np.column_stack(cols), kind="regression")
 
 
 def _adjusted(chain, silica):

@@ -46,6 +46,7 @@ def test_chisq_statistic_examples():
 
 def test_chisq_tail_basics():
     assert chisq_tail(0.0, 5) == 1.0
+    assert chisq_tail(5.0, 2.0) == chisq_tail(5.0, 2) == pytest.approx(math.exp(-2.5))
     assert chisq_tail(14.4, 10) == pytest.approx(0.1557, abs=2e-4)
     # exact tail at the rounded statistic, frozen from a 50-digit oracle
     assert chisq_tail(151.3, 11) == pytest.approx(8.0847210860464e-27, rel=1e-9)
@@ -59,6 +60,13 @@ def test_chisq_tail_refuses_nan():
     with pytest.raises(ValueError, match="x must be >= 0, got nan"):
         chisq_tail(math.nan, 10)
     assert chisq_tail(math.inf, 10) == 0.0
+
+
+@pytest.mark.parametrize("dof", [math.nan, 0, 0.5, 2.5, -3, math.inf])
+def test_chisq_tail_refuses_a_dof_that_is_not_a_whole_number(dof):
+    with pytest.raises(ValueError, match="dof must be a whole number >= 1"):
+        chisq_tail(5.0, dof)
+
 
 
 def test_chisq_tail_vs_high_precision_oracle():

@@ -1,7 +1,11 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its command lines
+parse."""
 
 import re
+import shlex
 from pathlib import Path
+
+from domecast.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +16,19 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
+
+
+def test_readme_command_lines_parse(capsys):
+    # Parsed only: `posterior` at its defaults runs for seconds.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["domecast"]]
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            raise AssertionError(
+                f"domecast {shlex.join(argv)}: {capsys.readouterr().err}"
+            ) from None
