@@ -31,7 +31,6 @@ from .likelihood import (
 )
 from .fit import (
     FitResult,
-    ModelComparison,
     compare_models,
     fit_aggregate,
     fit_exponential,
@@ -52,7 +51,6 @@ from .bayes import (
 )
 from .forecast import (
     ForecastCurve,
-    plugin_median_shift,
     plugin_remaining_quantile,
     predictive_curve,
     predictive_exceedance,

@@ -6,17 +6,20 @@ priors.  Under any Gamma prior, alpha given the rest is exactly
 Gamma(a + n1, b + S), with S the kernel's weighted sum, so alpha is
 integrated out of the target (Liu 1994, JASA 89:958) and a random walk
 moves only y = (log beta[, gamma_alpha, gamma_beta]), the log-beta
-Jacobian folded into the target.  During burn-in a scalar step factor
-adapts toward a 0.2-0.5 acceptance window; for the three regression
-coordinates the proposal's Cholesky factor is also set from the
-covariance of the later half of the burn-in so far, scaled by
-2.38/sqrt(3) (Haario, Saksman & Tamminen 2001, Bernoulli 7(2)).  The
-proposal then freezes, so the recorded chain is exact Metropolis on the
-marginal of y, and each recorded state gets an exact alpha draw.
+Jacobian folded into the target.  Burn-in starts from the proposal
+diag(``INITIAL_SCALE``) over y, and a scalar step factor adapts toward a
+0.2-0.5 acceptance window; for the three regression coordinates the
+proposal's Cholesky factor is also set from the covariance of the later
+half of the burn-in so far, scaled by 2.38/sqrt(3) (Haario, Saksman &
+Tamminen 2001, Bernoulli 7(2)).  The proposal then freezes, so the
+recorded chain is exact Metropolis on the marginal of y, and each
+recorded state gets an exact alpha draw.
 
-The walk draws each block of ``ADAPT_WINDOW`` increments with one call
-and one ``rng.random()`` per downhill proposal, in step order, and
-writes the block's recorded rows at its end.
+Chains come from numpy's PCG64 generator, which ``save_chain`` records as
+``RNG_ALGORITHM`` in the sidecar.  The walk draws each block of
+``ADAPT_WINDOW`` increments with one call and one ``rng.random()`` per
+downhill proposal, in step order, and writes the block's recorded rows
+at its end.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ ADAPT_WINDOW = 500
 ADAPT_FACTOR = 1.5
 ACCEPT_LO = 0.2
 ACCEPT_HI = 0.5
+INITIAL_SCALE = 0.1  # burn-in's first proposal: diag(INITIAL_SCALE) over y
 
 SAVE_BLOCK_ROWS = 1000
 HAARIO_SCALE = 2.38  # adapted proposal = HAARIO_SCALE / sqrt(k) * chol(cov)
@@ -124,11 +128,8 @@ class McmcConfig:
     burn_in: int = 10_000
     iterations: int = 1_000_000
     thin: int = 1_000
-    proposal_scales: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.proposal_scales is not None:  # as read back from JSON, a list
-            object.__setattr__(self, "proposal_scales", tuple(self.proposal_scales))
         for name in ("seed", "burn_in", "iterations", "thin"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -150,7 +151,6 @@ class PosteriorChain:
     config: McmcConfig
     model_kind: str
     prior: PriorSpec = field(default_factory=PriorSpec)
-    rng_algorithm: str = RNG_ALGORITHM
     # Frozen proposal: lower Cholesky factor over MODELS[model_kind].theta.
     proposal_cholesky: Optional[np.ndarray] = None
 
@@ -291,20 +291,13 @@ def run_mh(
             f"alpha | rest ~ Gamma(a + n1, b + S) needs a + n1 > 0; "
             f"got a={prior.a}, n1={catalog.n1}"
         )
-    coords = MODELS[model_kind].theta
-    k = len(coords)
-    scales = (0.1,) * k if config.proposal_scales is None else config.proposal_scales
-    if len(scales) != k or min(scales) <= 0:
-        raise ValueError(
-            f"need {k} positive proposal scales, one per walked coordinate "
-            f"({', '.join(coords)})"
-        )
+    k = len(MODELS[model_kind].theta)
     log_target = _marginal_log_target(kernel, prior)
     rng = np.random.default_rng(config.seed)
 
     y = _start_point(model_kind, catalog)
     state = (y, *log_target(y))
-    chol = np.diag(np.asarray(scales, dtype=float))
+    chol = np.diag(np.full(k, INITIAL_SCALE))
     factor = 1.0
 
     burn = np.empty((config.burn_in, 1 + k))
@@ -405,7 +398,7 @@ def save_chain(chain: PosteriorChain, csv_path, meta_path) -> None:
         "schema": SCHEMA,
         "model_kind": chain.model_kind,
         "acceptance_rate": chain.acceptance_rate,
-        "rng_algorithm": chain.rng_algorithm,
+        "rng_algorithm": RNG_ALGORITHM,
         "prior": asdict(chain.prior),
         "config": asdict(chain.config),
     }
@@ -471,7 +464,11 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
             )
     try:  # ``key`` names the entry at fault
         key = "config"
-        config = McmcConfig(**meta[key])
+        # Sidecars from before burn-in's first proposal was INITIAL_SCALE
+        # carry a ``proposal_scales`` entry, dropped so that they still load.
+        config = McmcConfig(
+            **{k: v for k, v in meta[key].items() if k != "proposal_scales"}
+        )
         key = "prior"
         prior = PriorSpec(**meta[key])
         key = "acceptance_rate"
@@ -501,6 +498,5 @@ def load_chain(csv_path, meta_path) -> PosteriorChain:
         config=config,
         model_kind=kind,
         prior=prior,
-        rng_algorithm=meta.get("rng_algorithm", RNG_ALGORITHM),
         proposal_cholesky=cholesky,
     )

@@ -114,14 +114,18 @@ def _model_from_fit_doc(path: str):
         raise DataError(f"fit JSON {path!r}: {exc}") from None
 
 
-def _pinned(model, silica: Optional[float], missing: Optional[str] = None):
-    """The fitted distribution: a regression fit taken at ``silica``,
-    with DataError(missing) when there is none."""
-    if not isinstance(model, RegressionParams):
-        return model
-    if silica is None:
-        raise DataError(missing or "regression fit needs --silica to pin the model")
-    return model.at_silica(silica)
+def _require_silica(regression: bool, silica: Optional[float]) -> None:
+    """The one check that a regression fit or chain has --silica to pin
+    it; a missing one is a usage error."""
+    if regression and silica is None:
+        raise UsageError("--silica is required for a regression fit or chain")
+
+
+def _pinned(model, silica: Optional[float]):
+    """The fitted distribution: a regression fit taken at ``silica``."""
+    regression = isinstance(model, RegressionParams)
+    _require_silica(regression, silica)
+    return model.at_silica(silica) if regression else model
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -140,16 +144,16 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_fit(args) -> int:
     if args.model != "grouped" and (args.comp_class or args.family):
         raise UsageError("--class and --family need --model grouped")
+    if args.model == "grouped" and args.comp_class is None:
+        raise UsageError("--class is required for the grouped model")
     cat = _load_catalog(args.catalog)
     if args.completed_only:
         cat = cat.completed_only()
-    if args.model != "grouped":
-        result = getattr(fit, f"fit_{args.model}")(cat)
-    elif args.comp_class is None:
-        raise DataError("--class is required for the grouped model")
-    else:
+    if args.model == "grouped":
         comp_class = CompositionClass(args.comp_class)
         result = fit.fit_grouped(cat, comp_class, family=args.family or "gpa")
+    else:
+        result = getattr(fit, f"fit_{args.model}")(cat)
     _write_json(os.path.join(args.out, "fit.json"), result.to_dict())
     return EXIT_OK
 
@@ -193,12 +197,9 @@ def cmd_forecast(args) -> int:
             chain = bayes.load_chain(args.chain, meta_path)
         except OSError as exc:
             raise DataError(f"cannot read chain: {exc}") from exc
-        if MODELS[chain.model_kind].silica and args.silica is None:
-            raise UsageError("--silica is required for a regression chain")
+        _require_silica(MODELS[chain.model_kind].silica, args.silica)
         if args.quartiles:
-            quartiles = forecast.predictive_quartiles(
-                chain, s, args.silica, per_draw=args.per_draw
-            )
+            quartiles = forecast.predictive_quartiles(chain, s, args.silica)
         if t_grid is not None:
             c = forecast.predictive_curve(chain, s, args.silica, t_grid)
             curve = [c.mean_probability, c.band_low, c.band_high, c.plug_in_probability]
@@ -313,9 +314,12 @@ def cmd_empirical(args) -> int:
                 cat.duration[ongoing].tolist(),
                 cat.silica[ongoing].tolist(),
             ):
-                missing = f"record {name!r} lacks silica for regression median shift"
-                p = _pinned(model, None if math.isnan(silica) else silica, missing)
-                shift = forecast.plugin_median_shift(p, age)
+                if isinstance(model, RegressionParams) and math.isnan(silica):
+                    raise DataError(
+                        f"record {name!r} lacks silica for regression median shift"
+                    )
+                p = _pinned(model, silica)
+                shift = forecast.plugin_remaining_quantile(p, age, 0.5)
                 seg_lines.append(f"{name},{comp.value},{age},{shift}")
         _atomic_write(
             os.path.join(args.out, "model_curve.csv"), "\n".join(curve_lines) + "\n"
@@ -387,11 +391,6 @@ def build_parser() -> _Parser:
     p_fc.add_argument("--silica", type=float)
     p_fc.add_argument("--grid", help="time grid LO:HI:N (years)")
     p_fc.add_argument("--quartiles", action="store_true")
-    p_fc.add_argument(
-        "--per-draw",
-        action="store_true",
-        help="average per-draw quantiles instead of inverting the mean curve",
-    )
     add_out(p_fc)
     p_fc.set_defaults(func=cmd_forecast)
 
@@ -440,7 +439,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # a file there, or no permission to make one
+            raise UsageError(f"--out {args.out!r}: {exc.strerror}") from None
         return args.func(args)
     except (UsageError, gof._BinCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)

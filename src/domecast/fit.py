@@ -30,7 +30,6 @@ __all__ = [
     "FitError",
     "HessianError",
     "FitResult",
-    "ModelComparison",
     "fit_aggregate",
     "fit_grouped",
     "fit_exponential",
@@ -114,11 +113,6 @@ class ModelScore:
     n: int
     aic: float
     bic: float
-
-
-@dataclass(frozen=True)
-class ModelComparison:
-    scores: tuple[ModelScore, ...]
 
 
 def aic(nllh: float, k: int) -> float:
@@ -418,11 +412,12 @@ def pool_grouped(fits: Sequence[FitResult]) -> FitResult:
     )
 
 
-def compare_models(fits: Sequence[FitResult]) -> ModelComparison:
+def compare_models(fits: Sequence[FitResult]) -> tuple[ModelScore, ...]:
+    """One AIC/BIC score per fit, in order; the fits must share n."""
     ns = {f.n for f in fits}
     if len(ns) > 1:
         raise ValueError(f"fits computed on different n: {sorted(ns)}")
-    scores = tuple(
+    return tuple(
         ModelScore(
             model_kind=f.model_kind,
             nllh=f.nllh_at_mle,
@@ -433,4 +428,3 @@ def compare_models(fits: Sequence[FitResult]) -> ModelComparison:
         )
         for f in fits
     )
-    return ModelComparison(scores)

@@ -3,15 +3,16 @@
 Plug-in forecasts evaluate the conditional quantile formula at point
 estimates; Bayesian forecasts average per-draw exceedance curves over a
 posterior chain, with 90% bands from the empirical 5%/95% quantiles of
-the per-draw probabilities.
+the per-draw probabilities.  The Bayesian quartiles invert that mean
+curve: they are quartiles of the posterior predictive distribution.
 
 One evaluator fills (grid rows x draws) blocks of per-draw exceedance
 probabilities in place.  ``predictive_curve`` walks the grid in blocks of
 about ``_BLOCK_ELEMENTS`` values through one reused buffer, taking each
 block's plotted draws, row means and bands before the next, so its
 memory is linear in the number of draws and never holds a
-(draws x grid) matrix.  The quartile bisection and
-``predictive_exceedance`` evaluate one row at a time.
+(draws x grid) matrix; ``predictive_exceedance`` is its one-point case.
+The quartile bisection evaluates one row at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "BracketError",
     "ForecastCurve",
     "plugin_remaining_quantile",
-    "plugin_median_shift",
     "predictive_exceedance",
     "predictive_curve",
     "predictive_quartiles",
@@ -66,24 +66,13 @@ def plugin_remaining_quantile(p: GPaParams, s: float, q: float) -> float:
     old: (beta + s) * ((1-q)^(-1/alpha) - 1).  FloatingPointError when it
     overflows."""
     p = condition_on_age(p, s)
-    return _mean_quantile(p.alpha, p.beta, q, s)
-
-
-def _mean_quantile(alpha, scale, q: float, s: float) -> float:
-    """Mean over draws of the q-th GPa quantile at shapes alpha and age-shifted
-    scales; FloatingPointError, naming the age s, when it overflows."""
     with np.errstate(over="ignore"):
-        value = float(np.mean(_quantile(alpha, scale, q)))
+        value = float(_quantile(p.alpha, p.beta, q))
     if not math.isfinite(value):
         raise FloatingPointError(
             f"the q={q:g} quantile of remaining duration at age {s:g} overflows"
         )
     return value
-
-
-def plugin_median_shift(p: GPaParams, s: float) -> float:
-    """Median projected remaining duration (beta + s)(2^(1/alpha) - 1)."""
-    return plugin_remaining_quantile(p, s, 0.5)
 
 
 def _check_nonneg_finite(name: str, v: float) -> None:
@@ -120,13 +109,14 @@ def predictive_exceedance(
     chain: PosteriorChain, s: float, silica: Optional[float], t: float
 ) -> dict:
     """Posterior predictive probability of lasting at least t more years:
-    mean over draws, with an equal-tailed 90% band."""
-    _check_nonneg_finite("t", t)
-    _check_nonneg_finite("eruption age", s)
-    alpha, beta = _draw_params(chain, silica)
-    pj = _exceedance(alpha, beta, s)(t).ravel()
-    lo, hi = np.quantile(pj, [(1 - BAND_LEVEL) / 2, 1 - (1 - BAND_LEVEL) / 2])
-    return {"mean": float(pj.mean()), "low": float(lo), "high": float(hi)}
+    mean over draws, with an equal-tailed 90% band (``predictive_curve``
+    at the one point t)."""
+    c = predictive_curve(chain, s, silica, [t])
+    return {
+        "mean": float(c.mean_probability[0]),
+        "low": float(c.band_low[0]),
+        "high": float(c.band_high[0]),
+    }
 
 
 def predictive_curve(
@@ -182,22 +172,13 @@ def predictive_quartiles(
     chain: PosteriorChain,
     s: float,
     silica: Optional[float] = None,
-    per_draw: bool = False,
 ) -> tuple[float, float, float]:
-    """Posterior-predictive quartiles (q25, q50, q75) of remaining duration.
-
-    Default inverts the posterior-mean exceedance curve by bisection on
-    [0, 1e4] years, widened tenfold until it brackets the quartile
-    (BracketError past 1e12 years); with ``per_draw`` it instead averages
-    each draw's closed-form quantile (an alternative reading of
-    "posterior quartile", exposed for comparison), FloatingPointError when
-    that mean overflows.
-    """
+    """Posterior-predictive quartiles (q25, q50, q75) of remaining duration:
+    the posterior-mean exceedance curve inverted by bisection on [0, 1e4]
+    years, widened tenfold until it brackets the quartile (BracketError
+    past 1e12 years)."""
     _check_nonneg_finite("eruption age", s)
     alpha, beta = _draw_params(chain, silica)
-    if per_draw:
-        return tuple(_mean_quantile(alpha, beta + s, q, s) for q in (0.25, 0.50, 0.75))
-
     fill = _exceedance(alpha, beta, s)
     row = np.empty((1, alpha.size))
 

@@ -360,12 +360,6 @@ def test_save_chain_writes_savetxt_bytes(tmp_path):
     assert csv_path.read_bytes() == want.read_bytes()
 
 
-def test_run_mh_proposal_scales_name_walked_coordinates(mcmc_catalog):
-    cfg = McmcConfig(seed=0, burn_in=0, iterations=10, thin=1, proposal_scales=(0.1, 0.1))
-    with pytest.raises(ValueError, match="log_beta"):
-        run_mh("aggregate", mcmc_catalog, REFERENCE, cfg)
-
-
 def test_run_mh_rejects_prior_without_alpha_conditional():
     # Proper by propriety_check (c, d > 0), but a + n1 = 0: alpha | rest
     # ~ Gamma(0, b + S) does not exist.
@@ -493,8 +487,7 @@ def test_load_chain_refuses_malformed_draws(tmp_path, short_chain, rows):
 
 def test_chain_sidecar_round_trip_keeps_bytes(tmp_path, short_chain):
     csv_path, meta_path = tmp_path / "chain.csv", tmp_path / "chain_meta.json"
-    config = McmcConfig(seed=5, burn_in=3000, iterations=30_000, thin=30,
-                        proposal_scales=(0.2,))
+    config = McmcConfig(seed=5, burn_in=3000, iterations=30_000, thin=30)
     chain = dataclasses.replace(short_chain, config=config, prior=PriorSpec(1, 2, 3, 4))
     save_chain(chain, csv_path, meta_path)
     loaded = load_chain(csv_path, meta_path)

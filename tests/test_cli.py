@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import domecast
-from domecast.cli import main
+from domecast.cli import build_parser, main
 
 
 def run(args):
@@ -125,7 +126,7 @@ def test_fit_regression_missing_silica_exit_2(tmp_path, sim_catalog):
 
 
 def test_fit_grouped_requires_class(tmp_path, sim_catalog):
-    assert run(["fit", sim_catalog, "--model", "grouped", "--out", tmp_path]) == 2
+    assert run(["fit", sim_catalog, "--model", "grouped", "--out", tmp_path]) == 1
 
 
 def test_gof_roundtrip(tmp_path, sim_catalog):
@@ -590,3 +591,86 @@ def test_gof_bin_count_refusal_message(tmp_path, capsys, sim_catalog):
     assert run(["gof", sim_catalog, "--fit", fit_out / "fit.json",
                 "--bins", 2, "--out", tmp_path / "gof"]) == 1
     assert capsys.readouterr().err == "error: n_bins must be >= 3, got 2\n"
+
+
+@pytest.mark.parametrize("command", ["gof", "forecast --fit", "forecast --chain"])
+def test_missing_silica_is_a_usage_error(tmp_path, capsys, regression_fit_and_chain,
+                                         command):
+    fit_json = regression_fit_and_chain["--fit"]
+    args = {
+        "gof": ["gof", fit_json.parent / "catalog.csv", "--fit", fit_json],
+        "forecast --fit": ["forecast", "--fit", fit_json, "--age", 1.0, "--quartiles"],
+        "forecast --chain": ["forecast", "--chain", regression_fit_and_chain["--chain"],
+                             "--age", 1.0, "--quartiles"],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(args + ["--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: --silica is required for a regression fit or chain\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(
+    tmp_path, capsys, sim_catalog, where, command
+):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "file" else blocker / "sub"
+    args = {
+        "simulate": ["simulate", "--n", 10, "--seed", 1],
+        "fit": ["fit", sim_catalog],
+    }[command]
+    capsys.readouterr()
+    assert run(args + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {str(out)!r}: ") and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_chain_sidecar_with_proposal_scales_still_loads(tmp_path, chain_csv):
+    # Sidecars written before burn-in's first proposal became a constant
+    # carry "proposal_scales": null in their config.
+    def quartiles():
+        out = tmp_path / f"fc{len(list(tmp_path.glob('fc*')))}"
+        assert run(["forecast", "--chain", chain_csv, "--age", 2.0, "--quartiles",
+                    "--out", out]) == 0
+        return (out / "quartiles.json").read_bytes()
+
+    meta_path = chain_csv.parent / "chain_meta.json"
+    want = quartiles()
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["proposal_scales"] = None
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+    chain = domecast.bayes.load_chain(chain_csv, meta_path)
+    assert chain.config == domecast.McmcConfig(seed=3, burn_in=200, iterations=1000,
+                                               thin=10)
+    assert quartiles() == want
+
+
+def test_option_set_is_pinned():
+    # Every option of every subcommand; a change to one shows up here.
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: sorted(
+            o for a in p._actions if not isinstance(a, argparse._HelpAction)
+            for o in a.option_strings
+        )
+        for name, p in sub.choices.items()
+    }
+    sim = ["--alpha", "--beta", "--censoring", "--fraction", "--gamma-alpha",
+           "--gamma-beta", "--horizon", "--lambda", "--n", "--out", "--seed"]
+    assert got == {
+        "fit": ["--class", "--completed-only", "--family", "--model", "--out"],
+        "gof": ["--bins", "--fit", "--out", "--silica"],
+        "posterior": ["--burn-in", "--iters", "--model", "--out", "--seed", "--thin"],
+        "forecast": ["--age", "--chain", "--days", "--fit", "--grid", "--out",
+                     "--quartiles", "--silica"],
+        "simulate": sim,
+        "recovery": sorted(sim + ["--reps"]),
+        "empirical": ["--fit", "--out"],
+    }

@@ -9,7 +9,6 @@ from domecast.fit import (
     LOG_BETA_HI,
     FitError,
     HessianError,
-    ModelComparison,
     aic,
     bic,
     compare_models,
@@ -195,8 +194,8 @@ def test_compare_models(synthetic_regression):
     agg = fit_aggregate(synthetic_regression)
     reg = fit_regression(synthetic_regression)
     cmp = compare_models([agg, reg])
-    assert isinstance(cmp, ModelComparison)
-    for s in cmp.scores:
+    assert [s.model_kind for s in cmp] == ["aggregate", "regression"]
+    for s in cmp:
         assert s.aic == pytest.approx(2 * s.k + 2 * s.nllh)
         assert s.bic == pytest.approx(s.k * math.log(s.n) + 2 * s.nllh)
 

@@ -7,7 +7,6 @@ import pytest
 import domecast.forecast as forecast_module
 from domecast.bayes import McmcConfig, PosteriorChain
 from domecast.forecast import (
-    plugin_median_shift,
     plugin_remaining_quantile,
     predictive_curve,
     predictive_exceedance,
@@ -59,14 +58,11 @@ def test_plugin_matches_conditioned_quantile():
 
 
 def test_plugin_median_shift():
-    assert plugin_median_shift(GPaParams(1, 1), 0.0) == pytest.approx(1.0)
-    assert plugin_median_shift(AGG, 19.68) == pytest.approx(38.9, abs=0.15)
-    assert plugin_median_shift(AGG, 5.0) == pytest.approx(
-        plugin_remaining_quantile(AGG, 5.0, 0.5), rel=1e-14
-    )
+    assert plugin_remaining_quantile(GPaParams(1, 1), 0.0, 0.5) == pytest.approx(1.0)
+    assert plugin_remaining_quantile(AGG, 19.68, 0.5) == pytest.approx(38.9, abs=0.15)
     # affine in s with slope 2^(1/alpha) - 1
     slope = 2 ** (1 / AGG.alpha) - 1
-    d = plugin_median_shift(AGG, 7.0) - plugin_median_shift(AGG, 3.0)
+    d = plugin_remaining_quantile(AGG, 7.0, 0.5) - plugin_remaining_quantile(AGG, 3.0, 0.5)
     assert d == pytest.approx(4.0 * slope, rel=1e-12)
 
 
@@ -175,24 +171,6 @@ def test_quartiles_vs_monte_carlo_mixture():
     got = predictive_quartiles(chain, s)
     for g, w in zip(got, mc):
         assert g == pytest.approx(w, rel=0.005)
-
-
-def test_per_draw_quartiles_flag():
-    comp = [(0.6, 0.8), (0.9, 1.5)]
-    chain = _chain(comp * 100)
-    mean_curve = predictive_quartiles(chain, 1.0)
-    per_draw = predictive_quartiles(chain, 1.0, per_draw=True)
-    expected = tuple(
-        float(
-            np.mean(
-                [(b + 1.0) * (math.pow(1 - q, -1 / a) - 1) for a, b in comp]
-            )
-        )
-        for q in (0.25, 0.50, 0.75)
-    )
-    for g, w in zip(per_draw, expected):
-        assert g == pytest.approx(w, rel=1e-12)
-    assert per_draw != mean_curve
 
 
 def test_predictive_quartiles_beyond_first_bracket():
@@ -320,8 +298,6 @@ def test_bayes_forecasts_refuse_bad_age(s):
         predictive_exceedance(chain, s, None, 1.0)
     with pytest.raises(ValueError, match="age"):
         predictive_quartiles(chain, s)
-    with pytest.raises(ValueError, match="age"):
-        predictive_quartiles(chain, s, per_draw=True)
 
 
 def test_overflowing_quantiles_are_refused():
@@ -329,8 +305,6 @@ def test_overflowing_quantiles_are_refused():
     assert plugin_remaining_quantile(AGG, 1e308, 0.25) < math.inf
     with pytest.raises(FloatingPointError, match="q=0.75"):
         plugin_remaining_quantile(AGG, 1e308, 0.75)
-    with pytest.raises(FloatingPointError, match="overflows"):
-        predictive_quartiles(_chain([(0.6, 0.8)] * 10), 1e308, per_draw=True)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
