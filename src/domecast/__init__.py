@@ -14,38 +14,28 @@ from .pareto import (
     ExpParams,
     GPaParams,
     condition_on_age,
-    density,
     exp_quantile,
-    exp_survival,
     quantile,
-    sample,
     survival,
 )
 from .likelihood import (
     RegressionParams,
     nllh_aggregate,
     nllh_exponential,
-    nllh_regression,
-    profile_alpha,
-    profile_alpha_regression,
 )
 from .fit import (
     FitResult,
-    compare_models,
     fit_aggregate,
     fit_exponential,
     fit_grouped,
     fit_regression,
-    pool_grouped,
-    standard_errors,
 )
-from .gof import GofReport, chisq_statistic, chisq_tail, equiprobable_bins, gof_test
+from .gof import GofReport, chisq_tail, gof_test
 from .bayes import (
     McmcConfig,
     PosteriorChain,
     PriorSpec,
     chain_summary,
-    log_posterior,
     propriety_check,
     run_mh,
 )

@@ -33,7 +33,7 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
 from operator import add
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "ImproperPosteriorError",
     "McmcError",
     "propriety_check",
-    "log_posterior",
     "run_mh",
     "chain_summary",
     "save_chain",
@@ -95,15 +94,6 @@ class PriorSpec:
                 )
         if min(self.a, self.b, self.c, self.d) < 0:
             raise ValueError("prior hyperparameters must be >= 0")
-
-    def log_density(self, alpha: float, beta: float) -> float:
-        # Up to a normalizing constant (which may not exist when improper).
-        return (
-            (self.a - 1.0) * math.log(alpha)
-            - self.b * alpha
-            + (self.c - 1.0) * math.log(beta)
-            - self.d * beta
-        )
 
 
 @dataclass(frozen=True)
@@ -164,22 +154,6 @@ class PosteriorChain:
 
     def column(self, name: str) -> np.ndarray:
         return self.draws[:, self.param_names.index(name)]
-
-
-def log_posterior(
-    model_kind: str, catalog: Catalog, prior: PriorSpec, theta: Sequence[float]
-) -> float:
-    """Unnormalized log posterior on the natural parameter scale:
-    -NLLH(theta) + log prior (gammas flat)."""
-    kernel = model_kernel(model_kind, catalog)
-    theta = np.asarray(theta, dtype=float)
-    k = len(MODELS[model_kind].params)
-    if len(theta) != k:
-        raise ValueError(f"expected {k} parameters for {model_kind}, got {len(theta)}")
-    if theta[0] <= 0 or theta[1] <= 0:
-        raise ValueError("alpha and beta must be > 0")
-    alpha, beta, *gammas = theta
-    return -kernel.nllh(alpha, beta, *gammas) + prior.log_density(alpha, beta)
 
 
 def _marginal_log_target(kernel: _Kernel, prior: PriorSpec):

@@ -98,8 +98,8 @@ def _read_fit_doc(path: str) -> dict:
 
 
 def _model_from_fit_doc(path: str):
-    """(parameters, number fitted) from a FitResult JSON file; DataError
-    names the file and the key at fault."""
+    """(parameters, number fitted, the document) from a FitResult JSON
+    file; DataError names the file and the key at fault."""
     doc = _read_fit_doc(path)
     kind = doc.get("model_kind")
     if not isinstance(kind, str) or kind not in _FIT_MODELS:
@@ -107,25 +107,43 @@ def _model_from_fit_doc(path: str):
     model = _FIT_MODELS[kind]
     est = doc.get("estimates", {})
     try:
-        return model.cls(*(est[key] for key in model.params)), len(model.params)
+        return model.cls(*(est[key] for key in model.params)), len(model.params), doc
     except KeyError as exc:
         raise DataError(f"fit JSON {path!r} has no estimate {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"fit JSON {path!r}: {exc}") from None
 
 
+def _fit_class(doc: dict, path: str) -> CompositionClass:
+    """The class a grouped fit was fitted on, from the one ``class=`` note
+    that ``fit_grouped`` writes; DataError when it is missing or unknown."""
+    notes = doc.get("notes")
+    names = [
+        note.split("=", 1)[1]
+        for note in (notes if isinstance(notes, list) else [])
+        if isinstance(note, str) and note.startswith("class=")
+    ]
+    try:
+        (name,) = names
+        return CompositionClass(name)
+    except ValueError:
+        raise DataError(
+            f"grouped fit JSON {path!r} names no known class in a 'class=' note"
+        ) from None
+
+
 def _require_silica(regression: bool, silica: Optional[float]) -> None:
-    """The one check that a regression fit or chain has --silica to pin
-    it; a missing one is a usage error."""
+    """The one check that --silica is given exactly when a regression fit
+    or chain needs it to be pinned; otherwise a usage error."""
     if regression and silica is None:
         raise UsageError("--silica is required for a regression fit or chain")
+    if not regression and silica is not None:
+        raise UsageError("--silica applies only to a regression fit or chain")
 
 
 def _pinned(model, silica: Optional[float]):
     """The fitted distribution: a regression fit taken at ``silica``."""
-    regression = isinstance(model, RegressionParams)
-    _require_silica(regression, silica)
-    return model.at_silica(silica) if regression else model
+    return model.at_silica(silica) if isinstance(model, RegressionParams) else model
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -159,8 +177,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gof(args) -> int:
+    """Test a fit against the catalog's completed records; a grouped fit
+    only against those of its class."""
     cat = _load_catalog(args.catalog).completed_only()
-    model, k_fitted = _model_from_fit_doc(args.fit)
+    model, k_fitted, doc = _model_from_fit_doc(args.fit)
+    _require_silica(isinstance(model, RegressionParams), args.silica)
+    if doc["model_kind"].startswith("grouped"):
+        cat = cat.filter_class(_fit_class(doc, args.fit))
     p = _pinned(model, args.silica)
     inverse_cdf = exp_quantile if isinstance(p, ExpParams) else quantile
     report = gof.gof_test(
@@ -211,7 +234,8 @@ def cmd_forecast(args) -> int:
             "band_level": forecast.BAND_LEVEL,
         }
     else:
-        model, _ = _model_from_fit_doc(args.fit)
+        model, _, _ = _model_from_fit_doc(args.fit)
+        _require_silica(isinstance(model, RegressionParams), args.silica)
         p = _pinned(model, args.silica)
         if isinstance(p, ExpParams):
             raise DataError("plug-in forecasts require a Pareto-family fit")

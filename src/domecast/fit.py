@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,9 +34,6 @@ __all__ = [
     "fit_grouped",
     "fit_exponential",
     "fit_regression",
-    "standard_errors",
-    "compare_models",
-    "pool_grouped",
     "aic",
     "bic",
 ]
@@ -105,66 +102,12 @@ class FitResult:
         }
 
 
-@dataclass(frozen=True)
-class ModelScore:
-    model_kind: str
-    nllh: float
-    k: int
-    n: int
-    aic: float
-    bic: float
-
-
 def aic(nllh: float, k: int) -> float:
     return 2.0 * k + 2.0 * nllh
 
 
 def bic(nllh: float, k: int, n: int) -> float:
     return k * math.log(n) + 2.0 * nllh
-
-
-def standard_errors(
-    nllh_fn: Callable[[np.ndarray], float],
-    theta_hat: Sequence[float],
-    log_scale: Sequence[bool],
-) -> np.ndarray:
-    """SEs from the inverse central-difference Hessian at a local minimum.
-
-    Coordinates flagged in ``log_scale`` are differentiated on the log
-    scale (keeping positivity) and mapped back via the delta method
-    SE(theta) = theta * SE(log theta).  Step is 1e-4 * max(1, |z|) per
-    working coordinate.  Raises HessianError if the Hessian is not
-    positive definite.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    log_scale = np.asarray(log_scale, dtype=bool)
-    z0 = theta_hat.copy()
-    z0[log_scale] = np.log(theta_hat[log_scale])
-    d = len(z0)
-
-    def g(z):
-        theta = np.where(log_scale, np.exp(z), z)
-        return nllh_fn(theta)
-
-    h = 1e-4 * np.maximum(1.0, np.abs(z0))
-    H = np.empty((d, d))
-    g0 = g(z0)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        H[i, i] = (g(z0 + ei) - 2.0 * g0 + g(z0 - ei)) / h[i] ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                g(z0 + ei + ej) - g(z0 + ei - ej) - g(z0 - ei + ej) + g(z0 - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-
-    se_z = _inverse_sd(H)
-    return np.where(log_scale, theta_hat * se_z, se_z)
 
 
 def _inverse_sd(H: np.ndarray) -> np.ndarray:
@@ -284,7 +227,9 @@ def fit_grouped(
     catalog: Catalog, comp_class: CompositionClass, family: str = "gpa"
 ) -> FitResult:
     """Fit one composition class with either the Pareto or the exponential
-    family; the likelihood kernel is shared with the aggregate fit."""
+    family; the likelihood kernel is shared with the aggregate fit.  The
+    class is noted as ``class=<value>``, from which ``gof`` takes the
+    records to test the fit on."""
     sub = catalog.filter_class(comp_class)
     if sub.n == 0:
         raise FitError(f"no records in class {comp_class.value!r}")
@@ -381,50 +326,3 @@ def _box_note(name: str, upper: bool, value: float) -> str:
     )
     return f"{name} at the {side} bound {value:g} of the search box: {why}"
 
-
-def pool_grouped(fits: Sequence[FitResult]) -> FitResult:
-    """Combine per-class fits into one entry for model comparison: NLLH
-    and parameter counts sum, n sums across the (disjoint) classes."""
-    if not fits:
-        raise ValueError("no fits to pool")
-    estimates = {}
-    ses = {} if all(f.standard_errors is not None for f in fits) else None
-    for i, f in enumerate(fits):
-        tag = next(
-            (note.split("=", 1)[1] for note in f.notes if note.startswith("class=")),
-            str(i),
-        )
-        for name, v in f.estimates.items():
-            estimates[f"{tag}.{name}"] = v
-        if ses is not None:
-            for name, v in f.standard_errors.items():
-                ses[f"{tag}.{name}"] = v
-    return FitResult(
-        model_kind="grouped-pooled",
-        estimates=estimates,
-        standard_errors=ses,
-        nllh_at_mle=math.fsum(f.nllh_at_mle for f in fits),
-        n=sum(f.n for f in fits),
-        n1=sum(f.n1 for f in fits),
-        k=sum(f.k for f in fits),
-        converged=all(f.converged for f in fits),
-        iterations=sum(f.iterations for f in fits),
-    )
-
-
-def compare_models(fits: Sequence[FitResult]) -> tuple[ModelScore, ...]:
-    """One AIC/BIC score per fit, in order; the fits must share n."""
-    ns = {f.n for f in fits}
-    if len(ns) > 1:
-        raise ValueError(f"fits computed on different n: {sorted(ns)}")
-    return tuple(
-        ModelScore(
-            model_kind=f.model_kind,
-            nllh=f.nllh_at_mle,
-            k=f.k,
-            n=f.n,
-            aic=f.aic(),
-            bic=f.bic(),
-        )
-        for f in fits
-    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaincc
@@ -19,8 +19,6 @@ from .catalog import Catalog
 
 __all__ = [
     "GofReport",
-    "equiprobable_bins",
-    "chisq_statistic",
     "chisq_tail",
     "gof_test",
     "DEFAULT_BINS",
@@ -56,20 +54,16 @@ class GofReport:
         }
 
 
-def equiprobable_bins(
+def _equiprobable_bins(
     quantile_fn: Callable[[float], float], n_bins: int
 ) -> np.ndarray:
     """Interior bin edges at model quantiles j/n_bins, j = 1..n_bins-1."""
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     return np.array([quantile_fn(j / n_bins) for j in range(1, n_bins)])
 
 
-def chisq_statistic(observed: Sequence[float], expected: Sequence[float]) -> float:
-    observed = np.asarray(observed, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    if observed.shape != expected.shape:
-        raise ValueError("observed and expected must have equal lengths")
+def _chisq_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Pearson's sum of (observed - expected)^2 / expected over the bins;
+    ValueError unless every expected count is positive (an empty catalog)."""
     if np.any(expected <= 0):
         raise ValueError("expected counts must be strictly positive")
     return float(np.sum((observed - expected) ** 2 / expected))
@@ -112,7 +106,7 @@ def gof_test(
         )
     data = catalog.duration
     n = len(data)
-    edges = equiprobable_bins(quantile_fn, n_bins)
+    edges = _equiprobable_bins(quantile_fn, n_bins)
     full_edges = np.concatenate(([0.0], edges, [np.inf]))
     observed, _ = np.histogram(data, bins=full_edges)
     expected = np.full(n_bins, n / n_bins)
@@ -122,7 +116,7 @@ def gof_test(
             "chi-square approximation may be poor",
             stacklevel=2,
         )
-    stat = chisq_statistic(observed, expected)
+    stat = _chisq_statistic(observed, expected)
     return GofReport(
         statistic=stat,
         dof=dof,

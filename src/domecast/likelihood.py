@@ -13,8 +13,8 @@ posterior draws and simulated records all shift through it.
 ``MODELS`` is the one table of per-model facts (parameter names and
 class, the coordinates theta that fits search and the sampler walks,
 whether silica is required), and ``model_kernel`` the one builder of a
-model's likelihood kernel, used by fits, the sampler and the public
-``nllh_*``/``profile_alpha*`` functions.
+model's likelihood kernel, used by fits, the sampler and
+``nllh_aggregate``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ __all__ = [
     "RegressionParams",
     "catalog_arrays",
     "nllh_aggregate",
-    "profile_alpha",
-    "nllh_regression",
-    "profile_alpha_regression",
     "nllh_exponential",
 ]
 
@@ -284,26 +281,6 @@ def model_kernel(kind: str, catalog: Catalog) -> _Kernel:
 
 def nllh_aggregate(catalog: Catalog, p: GPaParams) -> float:
     return model_kernel("aggregate", catalog).nllh(p.alpha, p.beta)
-
-
-def profile_alpha(catalog: Catalog, beta: float) -> float:
-    """Conditional MLE for alpha at fixed beta: n1 / sum log(1 + t_i/beta)."""
-    return model_kernel("aggregate", catalog).profile(beta)[0]
-
-
-def nllh_regression(catalog: Catalog, p: RegressionParams) -> float:
-    return model_kernel("regression", catalog).nllh(*astuple(p))
-
-
-def profile_alpha_regression(
-    catalog: Catalog, beta: float, gamma_alpha: float, gamma_beta: float
-) -> float:
-    """Conditional MLE for the baseline alpha at fixed (beta, gamma_alpha,
-    gamma_beta):
-
-        n1 / sum_i exp(gamma_alpha (x_i-60)) log(1 + t_i exp(-gamma_beta (x_i-60))/beta)
-    """
-    return model_kernel("regression", catalog).profile(beta, gamma_alpha, gamma_beta)[0]
 
 
 def nllh_exponential(catalog: Catalog, p: ExpParams) -> float:

@@ -17,11 +17,8 @@ __all__ = [
     "ExpParams",
     "survival",
     "log_survival",
-    "density",
     "quantile",
     "condition_on_age",
-    "sample",
-    "exp_survival",
     "exp_quantile",
 ]
 
@@ -65,29 +62,17 @@ class ExpParams:
         return 1.0 / self.lam
 
 
-def _check_nonneg(t, name="t"):
-    if np.any(np.asarray(t) < 0):
-        raise ValueError(f"{name} must be >= 0")
-
-
 def log_survival(p: GPaParams, t):
     """log P[T > t] = -alpha * log1p(t/beta); exact in log space."""
-    _check_nonneg(t)
-    return -p.alpha * np.log1p(np.asarray(t, dtype=float) / p.beta)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    return -p.alpha * np.log1p(t / p.beta)
 
 
 def survival(p: GPaParams, t):
     """P[T > t] = (1 + t/beta)^(-alpha)."""
     return np.exp(log_survival(p, t))
-
-
-def density(p: GPaParams, t):
-    """f(t) = (alpha/beta) (1 + t/beta)^(-alpha-1)."""
-    _check_nonneg(t)
-    t = np.asarray(t, dtype=float)
-    return np.exp(
-        math.log(p.alpha / p.beta) - (p.alpha + 1.0) * np.log1p(t / p.beta)
-    )
 
 
 def quantile(p: GPaParams, q):
@@ -111,25 +96,13 @@ def condition_on_age(p: GPaParams, s: float) -> GPaParams:
     return GPaParams(p.alpha, p.beta + s)
 
 
-def sample(p: GPaParams, u):
-    """Inverse-CDF transform of a Uniform(0,1) variate u:
-    beta * (u^(-1/alpha) - 1) has survival (1 + t/beta)^(-alpha)."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0) or np.any(u >= 1):
-        raise ValueError("u must lie in (0, 1)")
-    return _sample(p.alpha, p.beta, u)
-
-
 def _sample(alpha, beta, u):
-    """``sample`` elementwise over arrays of shapes and scales; a draw
-    beyond the float range is inf, without a warning."""
+    """Inverse-CDF transform of Uniform(0,1) variates u, elementwise over
+    arrays of shapes and scales: beta * (u^(-1/alpha) - 1) has survival
+    (1 + t/beta)^(-alpha).  A draw beyond the float range is inf, without
+    a warning."""
     with np.errstate(over="ignore"):
         return beta * np.expm1(-np.log(u) / alpha)
-
-
-def exp_survival(p: ExpParams, t):
-    _check_nonneg(t)
-    return np.exp(-p.lam * np.asarray(t, dtype=float))
 
 
 def exp_quantile(p: ExpParams, q):

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+import reference
 from conftest import assert_walks_match, make_catalog
 from domecast.bayes import (
     ImproperPosteriorError,
@@ -19,7 +20,6 @@ from domecast.bayes import (
     chain_summary,
     lag1_autocorrelation,
     load_chain,
-    log_posterior,
     metropolis_accept,
     propriety_check,
     run_mh,
@@ -105,31 +105,38 @@ def test_mcmc_config_refuses_a_non_integer_count(field, value):
 
 
 def test_log_posterior_reference_example():
+    # At alpha = beta = 1 the reference prior's log density is 0.
     cat = make_catalog([(1.0, False)])
-    lp = log_posterior("aggregate", cat, REFERENCE, [1.0, 1.0])
+    lp = reference.log_posterior(cat, REFERENCE, 1.0, 1.0)
     assert lp == pytest.approx(-2 * math.log(2), rel=1e-14)
+    kernel = model_kernel("aggregate", cat)
+    assert -kernel.nllh(1.0, 1.0) == pytest.approx(lp, rel=1e-14)
 
 
 def test_log_posterior_censored_increment():
     cat1 = make_catalog([(1.0, False)])
     cat2 = make_catalog([(1.0, False), (1.0, True)])
-    lp1 = log_posterior("aggregate", cat1, REFERENCE, [1.0, 1.0])
-    lp2 = log_posterior("aggregate", cat2, REFERENCE, [1.0, 1.0])
+    lp1 = reference.log_posterior(cat1, REFERENCE, 1.0, 1.0)
+    lp2 = reference.log_posterior(cat2, REFERENCE, 1.0, 1.0)
     assert lp2 - lp1 == pytest.approx(-math.log(2), rel=1e-14)
+    nllh1, nllh2 = (model_kernel("aggregate", c).nllh(1.0, 1.0) for c in (cat1, cat2))
+    assert nllh1 - nllh2 == pytest.approx(lp2 - lp1, rel=1e-14)
 
 
 def test_log_posterior_ratio_exact():
+    # The per-record posterior ratio against the kernel's NLLH and the
+    # reference prior 1/(alpha beta).
     cat = make_catalog([(2.0, False), (3.0, True)])
-    from domecast.likelihood import nllh_aggregate
+    kernel = model_kernel("aggregate", cat)
 
     t1, t2 = [0.8, 1.2], [1.5, 0.6]
-    ratio = log_posterior("aggregate", cat, REFERENCE, t1) - log_posterior(
-        "aggregate", cat, REFERENCE, t2
+    ratio = reference.log_posterior(cat, REFERENCE, *t1) - reference.log_posterior(
+        cat, REFERENCE, *t2
     )
     want = (
-        -nllh_aggregate(cat, GPaParams(*t1))
+        -kernel.nllh(*t1)
         - math.log(t1[0]) - math.log(t1[1])
-        + nllh_aggregate(cat, GPaParams(*t2))
+        + kernel.nllh(*t2)
         + math.log(t2[0]) + math.log(t2[1])
     )
     assert ratio == pytest.approx(want, abs=1e-12)
@@ -278,15 +285,8 @@ def test_load_chain_rejects_unknown_schema(tmp_path, short_chain):
         load_chain(*paths)
 
 
-def test_log_posterior_checks_parameter_count_first(mcmc_catalog, silica_catalog):
-    with pytest.raises(ValueError, match="expected 2 parameters for aggregate"):
-        log_posterior("aggregate", mcmc_catalog, REFERENCE, [1.0])
-    with pytest.raises(ValueError, match="expected 4 parameters for regression"):
-        log_posterior("regression", silica_catalog, REFERENCE, [1.0, 1.0])
-
-
 @pytest.mark.parametrize("kind", ["exponential", "grouped"])
-@pytest.mark.parametrize("entry", ["run_mh", "log_posterior", "load_chain"])
+@pytest.mark.parametrize("entry", ["run_mh", "model_kernel", "load_chain"])
 def test_kernel_less_kinds_stay_refused(tmp_path, mcmc_catalog, short_chain, kind,
                                         entry):
     # The exponential model is in the model table but has no kernel to sample.
@@ -294,8 +294,8 @@ def test_kernel_less_kinds_stay_refused(tmp_path, mcmc_catalog, short_chain, kin
     with pytest.raises(ValueError, match=f"unknown model_kind '{kind}'"):
         if entry == "run_mh":
             run_mh(kind, mcmc_catalog, REFERENCE, config)
-        elif entry == "log_posterior":
-            log_posterior(kind, mcmc_catalog, REFERENCE, [0.5])
+        elif entry == "model_kernel":
+            model_kernel(kind, mcmc_catalog)
         else:
             load_chain(*_saved_chain(tmp_path, short_chain, model_kind=kind))
 
@@ -369,12 +369,12 @@ def test_run_mh_rejects_prior_without_alpha_conditional():
         run_mh("aggregate", cat, PriorSpec(0, 1, 1, 1), cfg)
 
 
-def _log_alpha_integral(kind, catalog, prior, beta, gammas):
-    """log of the integral over alpha of exp(log_posterior), by quadrature
-    around the mode of the alpha integrand."""
+def _log_alpha_integral(catalog, prior, beta, gammas):
+    """log of the integral over alpha of exp(reference log posterior), by
+    quadrature around the mode of the alpha integrand."""
 
     def log_f(a):
-        return log_posterior(kind, catalog, prior, [a, beta, *gammas])
+        return reference.log_posterior(catalog, prior, a, beta, *gammas)
 
     n1 = catalog.n1 + prior.a
     grid = np.geomspace(1e-3, 1e3, 601)
@@ -397,7 +397,7 @@ def test_marginal_target_integrates_alpha_out(kind, prior, silica_catalog):
         gammas = [ga, gb] if kind == "regression" else []
         lp, _ = log_target([math.log(beta), *gammas])
         # The walk is on log beta: its density carries the Jacobian beta.
-        integral = _log_alpha_integral(kind, silica_catalog, prior, beta, gammas)
+        integral = _log_alpha_integral(silica_catalog, prior, beta, gammas)
         gaps.append(lp - (integral + math.log(beta)))
     assert gaps[1] == pytest.approx(gaps[0], rel=1e-8)
     assert gaps[2] == pytest.approx(gaps[0], rel=1e-8)

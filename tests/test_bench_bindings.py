@@ -2,11 +2,13 @@
 
 The traced benchmark wraps domecast functions by module attribute
 (``bench/tracing.py`` ``BINDINGS``); a renamed or dropped attribute would
-only show as an ``AttributeError`` in a ``--trace 1`` run.  Each
+only show as an ``AttributeError`` in a ``--trace 1`` run, and so would
+one that only the traced probe (``bench/run.py``) calls.  Each
 workload's ``setup()`` and ``catalog_digest`` (``bench/workloads.py``)
 run outside the steps whose failures the benchmark counts, so an
 exception in them ends the run."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -38,6 +40,37 @@ def test_every_traced_binding_resolves():
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert missing == []
+
+
+def domecast_attributes(path):
+    """Every ``<module>.<attr>`` in the file whose ``<module>`` it imports
+    by ``from domecast import <module>``."""
+    tree = ast.parse(path.read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "domecast"
+        for alias in node.names
+    }
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+
+
+def test_every_domecast_attribute_the_benchmark_uses_resolves():
+    for name in ("run", "workloads"):
+        used = domecast_attributes(BENCH / f"{name}.py")
+        assert used, name
+        missing = [
+            f"domecast.{module}.{attr}"
+            for module, attr in sorted(used)
+            if not hasattr(importlib.import_module(f"domecast.{module}"), attr)
+        ]
+        assert missing == [], name
 
 
 def test_workload_setup_and_catalog_digests_run(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import domecast
+from domecast.catalog import CompositionClass, parse_catalog, serialize_catalog
 from domecast.cli import build_parser, main
 
 
@@ -610,6 +611,87 @@ def test_missing_silica_is_a_usage_error(tmp_path, capsys, regression_fit_and_ch
         "error: --silica is required for a regression fit or chain\n"
     )
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gof", "forecast --fit", "forecast --chain"])
+def test_silica_without_a_regression_model_is_a_usage_error(
+    tmp_path, capsys, sim_catalog, chain_csv, command
+):
+    # An aggregate fit or chain has no silica to pin, so --silica there
+    # means the user took it for a regression model.
+    fit_out = tmp_path / "fit"
+    assert run(["fit", sim_catalog, "--out", fit_out]) == 0
+    args = {
+        "gof": ["gof", sim_catalog, "--fit", fit_out / "fit.json"],
+        "forecast --fit": ["forecast", "--fit", fit_out / "fit.json", "--age", 1.0,
+                           "--quartiles"],
+        "forecast --chain": ["forecast", "--chain", chain_csv, "--age", 1.0,
+                             "--quartiles"],
+    }[command]
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 0
+    capsys.readouterr()
+    assert run(args + ["--silica", 58, "--out", tmp_path / "refused"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --silica applies only to a regression fit or chain\n"
+    )
+    assert list((tmp_path / "refused").iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def class_fits(tmp_path_factory):
+    """A simulated regression catalog with Pareto and exponential fits of
+    its evolved class."""
+    work = tmp_path_factory.mktemp("classes")
+    assert run(["simulate", "--alpha", 0.65, "--beta", 0.70,
+                "--gamma-alpha", 0.05, "--gamma-beta", 0.13,
+                "--n", 177, "--seed", 3, "--out", work]) == 0
+    fits = {}
+    for family in ("gpa", "exponential"):
+        fits[family] = work / family / "fit.json"
+        assert run(["fit", work / "catalog.csv", "--model", "grouped",
+                    "--class", "evolved", "--family", family,
+                    "--out", fits[family].parent]) == 0
+    return work / "catalog.csv", fits
+
+
+@pytest.mark.filterwarnings("ignore:expected count per bin")  # 29 records, 13 bins
+@pytest.mark.parametrize("family", ["gpa", "exponential"])
+def test_gof_tests_a_class_fit_on_its_class(tmp_path, class_fits, family):
+    catalog_csv, fits = class_fits
+    with open(catalog_csv) as fh:
+        evolved = parse_catalog(fh).filter_class(CompositionClass.EVOLVED)
+    assert 0 < evolved.n < 177
+    only_class = tmp_path / "evolved.csv"
+    only_class.write_text(serialize_catalog(evolved))
+    for catalog, out in ((catalog_csv, "all"), (only_class, "class")):
+        assert run(["gof", catalog, "--fit", fits[family], "--out",
+                    tmp_path / out]) == 0
+    gof_json = (tmp_path / "all" / "gof.json").read_bytes()
+    assert gof_json == (tmp_path / "class" / "gof.json").read_bytes()
+    assert sum(json.loads(gof_json)["observed"]) == evolved.n1
+
+
+@pytest.mark.parametrize(
+    "notes", [None, [], ["class=andesitic"], ["class=evolved", "class=mafic"], "x"]
+)
+def test_gof_refuses_a_class_fit_without_its_class(tmp_path, capsys, class_fits,
+                                                   notes):
+    catalog_csv, fits = class_fits
+    doc = json.loads(fits["gpa"].read_text())
+    if notes is None:
+        del doc["notes"]
+    else:
+        doc["notes"] = notes
+    bad = tmp_path / "fit.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["gof", catalog_csv, "--fit", bad, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: grouped fit JSON {str(bad)!r} names no known class in a "
+        "'class=' note\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("where", ["file", "under-a-file"])

@@ -7,9 +7,9 @@ from conftest import make_catalog
 from domecast.catalog import Catalog
 from domecast.gof import (
     DEFAULT_BINS,
-    chisq_statistic,
+    _chisq_statistic,
+    _equiprobable_bins,
     chisq_tail,
-    equiprobable_bins,
     gof_test,
 )
 from domecast.pareto import ExpParams, GPaParams, exp_quantile, quantile
@@ -22,26 +22,31 @@ def q_gpa(p):
 
 def test_equiprobable_bins_examples():
     p = GPaParams(1, 1)
-    np.testing.assert_allclose(equiprobable_bins(q_gpa(p), 2), [1.0])
+    np.testing.assert_allclose(_equiprobable_bins(q_gpa(p), 2), [1.0])
     np.testing.assert_allclose(
-        equiprobable_bins(q_gpa(p), 4), [1 / 3, 1.0, 3.0], rtol=1e-12
+        _equiprobable_bins(q_gpa(p), 4), [1 / 3, 1.0, 3.0], rtol=1e-12
     )
     lam = ExpParams(1.0)
     np.testing.assert_allclose(
-        equiprobable_bins(lambda q: float(exp_quantile(lam, q)), 2),
+        _equiprobable_bins(lambda q: float(exp_quantile(lam, q)), 2),
         [math.log(2)],
         rtol=1e-12,
     )
 
 
 def test_chisq_statistic_examples():
-    assert chisq_statistic([5, 5], [5, 5]) == 0.0
-    assert chisq_statistic([10, 0], [5, 5]) == pytest.approx(10.0)
-    assert chisq_statistic([8, 12, 10], [10, 10, 10]) == pytest.approx(0.8)
+    def stat(observed, expected):
+        return _chisq_statistic(np.array(observed), np.array(expected, dtype=float))
+
+    assert stat([5, 5], [5, 5]) == 0.0
+    assert stat([10, 0], [5, 5]) == pytest.approx(10.0)
+    assert stat([8, 12, 10], [10, 10, 10]) == pytest.approx(0.8)
     with pytest.raises(ValueError):
-        chisq_statistic([1, 2], [1.0])
-    with pytest.raises(ValueError):
-        chisq_statistic([1, 2], [1.0, 0.0])
+        stat([1, 2], [1.0, 0.0])
+    # An empty catalog expects no record in any bin.
+    with pytest.warns(UserWarning, match="expected count"):
+        with pytest.raises(ValueError, match="strictly positive"):
+            gof_test(Catalog(()), q_gpa(GPaParams(1, 1)), k_fitted=2)
 
 
 def test_chisq_tail_basics():

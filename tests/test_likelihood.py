@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from conftest import make_catalog
 from domecast.likelihood import (
     MODELS,
@@ -10,9 +11,6 @@ from domecast.likelihood import (
     model_kernel,
     nllh_aggregate,
     nllh_exponential,
-    nllh_regression,
-    profile_alpha,
-    profile_alpha_regression,
 )
 from domecast.pareto import ExpParams, GPaParams
 
@@ -62,9 +60,11 @@ def test_censoring_flip_delta():
 def test_profile_alpha_examples():
     beta = 2.0
     cat = make_catalog([(beta, False)])
-    assert profile_alpha(cat, beta) == pytest.approx(1 / math.log(2), rel=1e-14)
+    assert model_kernel("aggregate", cat).profile(beta)[0] == pytest.approx(
+        1 / math.log(2), rel=1e-14
+    )
     cat2 = make_catalog([(beta, False), (3 * beta, False)])
-    assert profile_alpha(cat2, beta) == pytest.approx(
+    assert model_kernel("aggregate", cat2).profile(beta)[0] == pytest.approx(
         2 / (3 * math.log(2)), rel=1e-14
     )
 
@@ -72,16 +72,17 @@ def test_profile_alpha_examples():
 def test_profile_alpha_no_uncensored():
     cat = make_catalog([(1.0, True), (2.0, True)])
     with pytest.raises(ValueError):
-        profile_alpha(cat, 1.0)
+        model_kernel("aggregate", cat).profile(1.0)
 
 
 def test_profile_alpha_stationary(small_catalog):
+    # The kernel's profile MLE is stationary in the per-record likelihood.
     beta = 0.9
-    a_hat = profile_alpha(small_catalog, beta)
+    a_hat = model_kernel("aggregate", small_catalog).profile(beta)[0]
     h = 1e-5 * a_hat
 
     def f(a):
-        return nllh_aggregate(small_catalog, GPaParams(a, beta))
+        return reference.nllh(small_catalog, a, beta)
 
     deriv = (f(a_hat + h) - f(a_hat - h)) / (2 * h)
     assert abs(deriv) < 1e-8
@@ -91,17 +92,17 @@ def test_profile_alpha_stationary(small_catalog):
 
 
 def test_regression_reduces_to_aggregate(silica_catalog):
-    p = RegressionParams(0.7, 1.1, 0.0, 0.0)
-    assert nllh_regression(silica_catalog, p) == pytest.approx(
+    kernel = model_kernel("regression", silica_catalog)
+    assert kernel.nllh(0.7, 1.1, 0.0, 0.0) == pytest.approx(
         nllh_aggregate(silica_catalog, GPaParams(0.7, 1.1)), rel=1e-12
     )
 
 
 def test_regression_single_record():
     cat = make_catalog([(1.0, False, 61.0)])
-    p = RegressionParams(1.0, 1.0, 0.0, math.log(2))
+    kernel = model_kernel("regression", cat)
     # x=61 doubles beta; alpha unchanged: 2 log(1.5) + log 2
-    assert nllh_regression(cat, p) == pytest.approx(
+    assert kernel.nllh(1.0, 1.0, 0.0, math.log(2)) == pytest.approx(
         2 * math.log(1.5) + math.log(2), rel=1e-12
     )
 
@@ -109,7 +110,7 @@ def test_regression_single_record():
 def test_regression_missing_silica_named():
     cat = make_catalog([(1.0, False, 61.0), (2.0, False)])
     with pytest.raises(ValueError, match="V1"):
-        nllh_regression(cat, RegressionParams(1, 1, 0, 0))
+        model_kernel("regression", cat)
 
 
 def test_regression_matches_single_class_grouped(silica_catalog):
@@ -119,28 +120,31 @@ def test_regression_matches_single_class_grouped(silica_catalog):
 
     sub = silica_catalog.filter_class(CompositionClass.INTERMEDIATE)
     p = GPaParams(0.55, 0.9)
-    assert nllh_regression(sub, RegressionParams(0.55, 0.9, 0.0, 0.0)) == (
+    assert model_kernel("regression", sub).nllh(0.55, 0.9, 0.0, 0.0) == (
         pytest.approx(nllh_aggregate(sub, p), rel=1e-12)
     )
 
 
 def test_profile_alpha_regression_examples(silica_catalog):
-    assert profile_alpha_regression(silica_catalog, 0.8, 0.0, 0.0) == pytest.approx(
-        profile_alpha(silica_catalog, 0.8), rel=1e-14
+    regression = model_kernel("regression", silica_catalog)
+    aggregate = model_kernel("aggregate", silica_catalog)
+    assert regression.profile(0.8, 0.0, 0.0)[0] == pytest.approx(
+        aggregate.profile(0.8)[0], rel=1e-14
     )
     cat = make_catalog([(2.0, False, 60.0)])
-    assert profile_alpha_regression(cat, 2.0, 0.3, -0.2) == pytest.approx(
+    assert model_kernel("regression", cat).profile(2.0, 0.3, -0.2)[0] == pytest.approx(
         1 / math.log(2), rel=1e-14
     )
 
 
 def test_profile_alpha_regression_stationary(silica_catalog):
+    # The kernel's profile MLE is stationary in the per-record likelihood.
     beta, ga, gb = 0.8, 0.05, 0.1
-    a_hat = profile_alpha_regression(silica_catalog, beta, ga, gb)
+    a_hat = model_kernel("regression", silica_catalog).profile(beta, ga, gb)[0]
     h = 1e-5 * a_hat
 
     def f(a):
-        return nllh_regression(silica_catalog, RegressionParams(a, beta, ga, gb))
+        return reference.nllh(silica_catalog, a, beta, ga, gb)
 
     deriv = (f(a_hat + h) - f(a_hat - h)) / (2 * h)
     assert abs(deriv) < 1e-8
@@ -172,19 +176,12 @@ def test_regression_kernel_matches_per_record_oracle(silica_catalog):
     # density/survival formula: a_i = alpha e^{ga dx_i}, b_i = beta e^{gb dx_i}.
     alpha, beta, ga, gb = 0.7, 1.1, 0.04, -0.06
     assert 0 < silica_catalog.n1 < silica_catalog.n
-    nllh = 0.0
-    weighted_sum = 0.0
-    for r in silica_catalog.records:
-        dx = r.silica_pct - 60.0
-        a_i = alpha * math.exp(ga * dx)
-        b_i = beta * math.exp(gb * dx)
-        d = 0.0 if r.censored else 1.0
-        nllh += (a_i + d) * math.log1p(r.duration / b_i) + d * math.log(b_i / a_i)
-        weighted_sum += math.exp(ga * dx) * math.log1p(r.duration / b_i)
-    p = RegressionParams(alpha, beta, ga, gb)
-    assert nllh_regression(silica_catalog, p) == pytest.approx(nllh, rel=1e-12)
-    assert profile_alpha_regression(silica_catalog, beta, ga, gb) == pytest.approx(
-        silica_catalog.n1 / weighted_sum, rel=1e-12
+    kernel = model_kernel("regression", silica_catalog)
+    assert kernel.nllh(alpha, beta, ga, gb) == pytest.approx(
+        reference.nllh(silica_catalog, alpha, beta, ga, gb), rel=1e-12
+    )
+    assert kernel.profile(beta, ga, gb)[0] == pytest.approx(
+        reference.profile_alpha(silica_catalog, beta, ga, gb), rel=1e-12
     )
 
 

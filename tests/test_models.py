@@ -50,7 +50,8 @@ def test_fit_files_follow_the_table(tmp_path, catalog, kind):
     assert result.k == len(model.params)
     path = tmp_path / "fit.json"
     path.write_text(json.dumps(result.to_dict()))
-    params, k = _model_from_fit_doc(str(path))
+    params, k, doc = _model_from_fit_doc(str(path))
+    assert doc["model_kind"] == kind
     assert params == model.cls(*result.estimates.values())
     assert k == len(model.params)
 

@@ -5,19 +5,29 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from conftest import make_catalog
+from domecast.likelihood import nllh_aggregate, nllh_exponential
 from domecast.pareto import (
     ExpParams,
     GPaParams,
+    _sample,
     condition_on_age,
-    density,
     exp_quantile,
-    exp_survival,
     quantile,
-    sample,
     survival,
 )
 
 AGG = GPaParams(0.6487, 0.7018)  # aggregate point estimates used as a fixture
+
+
+def density(p, t):
+    """The GPa density at t > 0: exp(-NLLH) of one completed record."""
+    return math.exp(-nllh_aggregate(make_catalog([(t, False)]), p))
+
+
+def exp_survival(p, t):
+    """The exponential survival at t > 0: exp(-NLLH) of one ongoing record."""
+    return math.exp(-nllh_exponential(make_catalog([(t, True)]), p))
 
 
 def test_param_validation():
@@ -47,12 +57,10 @@ def test_survival_examples():
 def test_survival_rejects_negative_t():
     with pytest.raises(ValueError):
         survival(AGG, -0.1)
-    with pytest.raises(ValueError):
-        density(AGG, -0.1)
 
 
 def test_density_examples():
-    assert density(GPaParams(1, 1), 0.0) == pytest.approx(1.0)
+    assert density(GPaParams(1, 1), 3.0) == pytest.approx(1 / 16)
     assert density(GPaParams(2, 1), 1.0) == pytest.approx(0.25)
 
 
@@ -120,32 +128,26 @@ def test_conditioning_identity():
 
 
 def test_sample_examples():
-    assert sample(GPaParams(1, 1), 0.5) == pytest.approx(1.0)
-    assert sample(GPaParams(0.5, 2), 0.25) == pytest.approx(30.0)
-    with pytest.raises(ValueError):
-        sample(AGG, 0.0)
-    with pytest.raises(ValueError):
-        sample(AGG, 1.0)
+    assert _sample(1.0, 1.0, 0.5) == pytest.approx(1.0)
+    assert _sample(0.5, 2.0, 0.25) == pytest.approx(30.0)
 
 
 def test_sample_empirical_survival():
     p = GPaParams(0.9, 1.3)
     rng = np.random.default_rng(7)
-    draws = sample(p, rng.random(100_000))
+    draws = _sample(p.alpha, p.beta, rng.random(100_000))
     t90 = quantile(p, 0.9)
     frac = np.mean(draws > t90)
     assert frac == pytest.approx(0.100, abs=0.003)
 
 
 def test_exponential_survival_and_quantile():
-    assert exp_survival(ExpParams(1.0), 0.0) == 1.0
+    assert exp_survival(ExpParams(1.0), 2.0) == pytest.approx(math.exp(-2.0))
     # median at the evolved-class rate estimate
     assert exp_quantile(ExpParams(0.3390), 0.5) == pytest.approx(
         math.log(2) / 0.3390, rel=1e-12
     )
     assert exp_quantile(ExpParams(0.3390), 0.5) == pytest.approx(2.045, abs=5e-4)
-    with pytest.raises(ValueError):
-        exp_survival(ExpParams(1.0), -1.0)
     with pytest.raises(ValueError):
         exp_quantile(ExpParams(1.0), 1.0)
 
@@ -155,7 +157,7 @@ def test_exponential_is_gpa_limit():
     big = 1e6
     p = GPaParams(big, big / lam)
     assert survival(p, 1.0) == pytest.approx(
-        float(exp_survival(ExpParams(lam), 1.0)), abs=1e-5
+        exp_survival(ExpParams(lam), 1.0), abs=1e-5
     )
 
 
@@ -164,7 +166,7 @@ def test_exponential_memoryless():
     for s in (0.3, 2.0):
         for t in (0.1, 5.0):
             assert exp_survival(p, s + t) / exp_survival(p, s) == pytest.approx(
-                float(exp_survival(p, t)), rel=1e-12
+                exp_survival(p, t), rel=1e-12
             )
 
 
@@ -175,7 +177,7 @@ def test_density_is_negative_survival_derivative():
             p = GPaParams(alpha, beta)
             for t in (0.05, 1.0, 20.0):
                 fd = -(survival(p, t + h) - survival(p, t - h)) / (2 * h)
-                assert fd == pytest.approx(float(density(p, t)), rel=1e-6)
+                assert fd == pytest.approx(density(p, t), rel=1e-6)
 
 
 def test_log_survival_monotone_and_bounded():

@@ -19,7 +19,6 @@ from domecast.likelihood import (
     catalog_arrays,
     model_kernel,
     nllh_aggregate,
-    nllh_regression,
 )
 from domecast.pareto import GPaParams
 from domecast.simulate import SimSpec, generate
@@ -105,9 +104,9 @@ def test_regression_order_invariance(data):
         SimSpec(RegressionParams(0.65, 0.7, 0.05, 0.1), n=80, seed=7)
     )
     shuffled = permuted(catalog, data.draw(st.permutations(range(catalog.n))))
-    p = RegressionParams(0.6, 0.9, 0.03, -0.02)
-    assert nllh_regression(shuffled, p) == pytest.approx(
-        nllh_regression(catalog, p), rel=1e-12
+    p = (0.6, 0.9, 0.03, -0.02)
+    assert model_kernel("regression", shuffled).nllh(*p) == pytest.approx(
+        model_kernel("regression", catalog).nllh(*p), rel=1e-12
     )
     a, b = fit_regression(catalog), fit_regression(shuffled)
     assert b.nllh_at_mle == pytest.approx(a.nllh_at_mle, rel=1e-9)
