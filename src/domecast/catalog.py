@@ -6,12 +6,13 @@ an optional silica percentage used by the regression model.  The CSV's
 duration column names its units, ``duration_yr`` or ``duration_days``;
 every Catalog in memory holds years.
 
-A ``Catalog`` stores its rows as read-only numpy columns: ``names`` and
+A ``Catalog`` is its six read-only numpy columns: ``names`` and
 ``comp_class`` (object arrays of str and ``CompositionClass``),
 ``start_year``, ``duration``, ``censored`` and ``silica`` (NaN where
-missing).  Every Catalog, parsed, simulated, derived or built from
-``EruptionRecord`` rows, passes one check of its columns; parsing builds
-no records, so records exist only in ``Catalog(records)`` and ``records``.
+missing).  Its one constructor, ``Catalog(names=..., ..., silica=...)``,
+serves parsing, simulation and derived catalogs alike and checks the
+columns once.  No path builds ``EruptionRecord`` rows except the
+``records`` view.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,7 +49,10 @@ SILICA_MAX = 90.0
 
 
 class CatalogError(ValueError):
-    """Malformed or inconsistent catalog input."""
+    """Malformed or inconsistent catalog input; from the column check,
+    ``row`` is the index of the row at fault."""
+
+    row = None
 
 
 class CompositionClass(Enum):
@@ -59,7 +63,9 @@ class CompositionClass(Enum):
 
 @dataclass(frozen=True)
 class EruptionRecord:
-    """One catalog row, checked when it enters a Catalog.
+    """One catalog row: the row type of ``Catalog.records``, the view
+    that ``bench/workloads.catalog_digest`` reads until it hashes columns
+    (ROADMAP item 1).
 
     ``censored=True`` means the eruption was still ongoing at the catalog
     date, so ``duration`` is only a lower bound.
@@ -73,15 +79,15 @@ class EruptionRecord:
     silica_pct: Optional[float] = None
 
 
-# Catalog's columns and their dtypes, in EruptionRecord's field order.
-_COLUMNS = ("names", "start_year", "duration", "censored", "comp_class", "silica")
-_DTYPES = (object, float, float, bool, object, float)
+# Catalog's columns -> their dtypes, in EruptionRecord's field order.
+_COLUMNS = {"names": object, "start_year": float, "duration": float,
+            "censored": bool, "comp_class": object, "silica": float}
 
 
-def _check_columns(names, start_year, duration, silica, lines=None) -> None:
+def _check_columns(names, start_year, duration, silica) -> None:
     """Raise CatalogError for the first row that breaks a rule, with the
-    message of the first rule it breaks, after the row's source line when
-    ``lines`` gives it.  NaN silica is missing."""
+    message of the first rule it breaks; the error's ``row`` is that
+    row's index.  NaN silica is missing."""
     rules = (  # (rows broken, values, message) in the order they are checked
         (~(np.isfinite(duration) & (duration > 0)), duration,
          "duration must be finite and > 0, got {}"),
@@ -93,15 +99,16 @@ def _check_columns(names, start_year, duration, silica, lines=None) -> None:
     if faults:
         row, k = min(faults)  # the first row, then its first rule
         _, values, message = rules[k]
-        where = f"line {lines[row]}: " if lines else ""
-        message = message.format(float(values[row]))
-        raise CatalogError(f"{where}{message} for {names[row]!r}")
+        error = CatalogError(f"{message.format(float(values[row]))} for {names[row]!r}")
+        error.row = int(row)
+        raise error
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class Catalog:
     """Immutable ordered collection of eruptions, held as read-only
-    columns (see the module docstring)."""
+    columns (see the module docstring).  Each column is converted to its
+    dtype (None silica becomes NaN) and the columns are checked once."""
 
     names: np.ndarray
     start_year: np.ndarray
@@ -110,40 +117,19 @@ class Catalog:
     comp_class: np.ndarray
     silica: np.ndarray
 
-    def __init__(self, records: Iterable[EruptionRecord]):
-        records = tuple(records)
-        columns = (
-            [getattr(r, f.name) for r in records] for f in fields(EruptionRecord)
-        )
-        self._set_columns(**dict(zip(_COLUMNS, columns)))
-
-    @classmethod
-    def _from_columns(cls, lines=None, **columns) -> "Catalog":
-        """Package-private: a catalog over the given columns, checked as
-        every Catalog is; ``lines`` numbers the rows in its messages."""
-        catalog = object.__new__(cls)
-        catalog._set_columns(lines, **columns)
-        return catalog
-
-    def _set_columns(self, lines=None, **columns) -> None:
-        for name, dtype in zip(_COLUMNS, _DTYPES):
-            column = np.asarray(columns[name], dtype=dtype)  # None -> NaN
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            column = np.asarray(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        _check_columns(self.names, self.start_year, self.duration, self.silica, lines)
-
-    def _columns(self) -> dict:
-        return {name: getattr(self, name) for name in _COLUMNS}
-
-    def _replace(self, **columns) -> "Catalog":
-        return Catalog._from_columns(**{**self._columns(), **columns})
+        _check_columns(self.names, self.start_year, self.duration, self.silica)
 
     def _take(self, index) -> "Catalog":
-        return self._replace(**{k: v[index] for k, v in self._columns().items()})
+        return replace(self, **{name: getattr(self, name)[index] for name in _COLUMNS})
 
     def _rows(self):
         """Each row as Python values in EruptionRecord's field order."""
-        *columns, silica = (v.tolist() for v in self._columns().values())
+        *columns, silica = (getattr(self, name).tolist() for name in _COLUMNS)
         return zip(*columns, (None if math.isnan(x) else x for x in silica))
 
     @cached_property
@@ -170,24 +156,6 @@ class Catalog:
 
     def completed_only(self) -> "Catalog":
         return self._take(~self.censored)
-
-    def concat(self, other: "Catalog") -> "Catalog":
-        theirs = other._columns()
-        return self._replace(
-            **{k: np.concatenate((v, theirs[k])) for k, v in self._columns().items()}
-        )
-
-    def _key(self) -> tuple:
-        # The rows hold None for missing silica, so NaN silica compares equal.
-        return tuple(self._rows())
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -263,11 +231,13 @@ def parse_catalog(source) -> Catalog:
     if not rows:
         raise CatalogError("empty catalog")
     lines, *columns = zip(*rows)
-    catalog = Catalog._from_columns(lines, **dict(zip(_COLUMNS, columns)))
-    if units_per_year == 1.0:
-        return catalog
-    years = catalog.duration / units_per_year
-    return Catalog._from_columns(lines, **{**catalog._columns(), "duration": years})
+    try:
+        catalog = Catalog(**dict(zip(_COLUMNS, columns)))
+        if units_per_year != 1.0:
+            catalog = replace(catalog, duration=catalog.duration / units_per_year)
+    except CatalogError as error:
+        raise CatalogError(f"line {lines[error.row]}: {error}") from None
+    return catalog
 
 
 def serialize_catalog(catalog: Catalog) -> str:

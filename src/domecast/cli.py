@@ -57,8 +57,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    doc = {"schema": bayes.SCHEMA, **doc}
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    """Write ``doc`` as strict JSON: a NaN or infinite value is a data
+    error, and no file is written."""
+    try:
+        text = json.dumps({"schema": bayes.SCHEMA, **doc}, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path!r} would hold a non-finite number: {exc}") from None
+    _atomic_write(path, text + "\n")
 
 
 def _load_catalog(path: str) -> Catalog:
@@ -114,9 +119,13 @@ def _model_from_fit_doc(path: str):
         raise DataError(f"fit JSON {path!r}: {exc}") from None
 
 
-def _fit_class(doc: dict, path: str) -> CompositionClass:
-    """The class a grouped fit was fitted on, from the one ``class=`` note
-    that ``fit_grouped`` writes; DataError when it is missing or unknown."""
+def _fitted_records(cat: Catalog, doc: dict, path: str) -> Catalog:
+    """The records a fit describes: all of ``cat``, or for a grouped fit
+    those of the class named by the one ``class=`` note that
+    ``fit_grouped`` writes; DataError when that note is missing or names
+    no known class."""
+    if not doc["model_kind"].startswith("grouped"):
+        return cat
     notes = doc.get("notes")
     names = [
         note.split("=", 1)[1]
@@ -125,7 +134,7 @@ def _fit_class(doc: dict, path: str) -> CompositionClass:
     ]
     try:
         (name,) = names
-        return CompositionClass(name)
+        return cat.filter_class(CompositionClass(name))
     except ValueError:
         raise DataError(
             f"grouped fit JSON {path!r} names no known class in a 'class=' note"
@@ -182,8 +191,7 @@ def cmd_gof(args) -> int:
     cat = _load_catalog(args.catalog).completed_only()
     model, k_fitted, doc = _model_from_fit_doc(args.fit)
     _require_silica(isinstance(model, RegressionParams), args.silica)
-    if doc["model_kind"].startswith("grouped"):
-        cat = cat.filter_class(_fit_class(doc, args.fit))
+    cat = _fitted_records(cat, doc, args.fit)
     p = _pinned(model, args.silica)
     inverse_cdf = exp_quantile if isinstance(p, ExpParams) else quantile
     report = gof.gof_test(
@@ -273,7 +281,16 @@ def _write_forecast(out_dir, meta, quartiles, t_grid, curve, draw_curves) -> Non
 
 
 def _sim_spec_from_args(args) -> simulate.SimSpec:
+    """The spec the options give; an option that the others make moot is
+    a usage error."""
+    for option, rule in (("horizon", "fixed_horizon"), ("fraction", "random_fraction")):
+        if getattr(args, option) is not None and args.censoring != rule:
+            raise UsageError(f"--{option} applies only to --censoring {rule}")
     if args.lam is not None:
+        if (args.gamma_alpha, args.gamma_beta) != (None, None):
+            raise UsageError(
+                "--gamma-alpha and --gamma-beta do not apply with --lambda"
+            )
         model = ExpParams(args.lam)
     elif args.gamma_alpha is not None or args.gamma_beta is not None:
         model = RegressionParams(
@@ -307,10 +324,14 @@ def cmd_recovery(args) -> int:
 
 def cmd_empirical(args) -> int:
     """Emit plain-CSV plotting data: per-class empirical exceedance
-    fractions, fitted model curves, and median-shift segments for
-    ongoing records.  A refused median shift leaves no file behind."""
+    fractions, fitted model curves, and median-shift segments for the
+    ongoing records the fit describes (for a grouped fit, those of its
+    class).  A refused median shift leaves no file behind."""
     cat = _load_catalog(args.catalog)
-    model = _model_from_fit_doc(args.fit)[0] if args.fit else None
+    model = None
+    if args.fit:
+        model, _, doc = _model_from_fit_doc(args.fit)
+        fitted = _fitted_records(cat, doc, args.fit)
 
     lines = ["class,duration,fraction_exceeding"]
     groups = {"all": cat}
@@ -331,12 +352,12 @@ def cmd_empirical(args) -> int:
             base = _pinned(model, SILICA_CENTER)
             for t, p in zip(t_grid, survival(base, t_grid)):
                 curve_lines.append(f"{t},{p}")
-            ongoing = cat.censored
+            ongoing = fitted.censored
             for name, comp, age, silica in zip(
-                cat.names[ongoing],
-                cat.comp_class[ongoing],
-                cat.duration[ongoing].tolist(),
-                cat.silica[ongoing].tolist(),
+                fitted.names[ongoing],
+                fitted.comp_class[ongoing],
+                fitted.duration[ongoing].tolist(),
+                fitted.silica[ongoing].tolist(),
             ):
                 if isinstance(model, RegressionParams) and math.isnan(silica):
                     raise DataError(

@@ -48,7 +48,8 @@ class GofReport:
             "dof": self.dof,
             "p_value": self.p_value,
             "n_bins": self.n_bins,
-            "bin_edges": list(self.bin_edges),
+            # The top edge is infinite, which strict JSON writes as null.
+            "bin_edges": [None if e == np.inf else e for e in self.bin_edges],
             "observed": list(self.observed),
             "expected": list(self.expected),
         }

@@ -7,7 +7,6 @@ the same selection effect that biases completed-only estimates downward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, astuple, dataclass
 from typing import Optional, Union
 
@@ -94,7 +93,7 @@ def generate(spec: SimSpec, rng: Optional[np.random.Generator] = None) -> Catalo
         duration = t_true
         start = np.zeros(spec.n)
 
-    return Catalog._from_columns(
+    return Catalog(
         names=[f"SIM-{i:05d}" for i in range(spec.n)],
         start_year=start,
         duration=duration,
@@ -108,7 +107,7 @@ def generate(spec: SimSpec, rng: Optional[np.random.Generator] = None) -> Catalo
 class RecoveryReport:
     parameter_names: tuple[str, ...]
     truth: dict
-    bias: dict
+    bias: dict  # parameter -> value; None where no replication gave one
     rmse: dict
     coverage95: dict
     replications: int
@@ -156,12 +155,12 @@ def recovery_study(spec: SimSpec, replications: int) -> RecoveryReport:
     for k in names:
         arr = np.asarray(estimates[k])
         if arr.size == 0:
-            bias[k] = rmse[k] = coverage[k] = math.nan
+            bias[k] = rmse[k] = coverage[k] = None
             continue
         err = arr - truth[k]
         bias[k] = float(err.mean())
         rmse[k] = float(np.sqrt(np.mean(err**2)))
-        coverage[k] = covered[k] / se_counts[k] if se_counts[k] else math.nan
+        coverage[k] = covered[k] / se_counts[k] if se_counts[k] else None
     return RecoveryReport(
         parameter_names=names,
         truth=truth,

@@ -4,36 +4,26 @@ import numpy as np
 import pytest
 
 from domecast.bayes import ADAPT_WINDOW, _marginal_log_target, _walk
-from domecast.catalog import Catalog, CompositionClass, EruptionRecord
+from domecast.catalog import Catalog, CompositionClass
 
 
-def make_record(
-    duration,
-    censored=False,
-    silica=None,
-    name="TEST",
-    start=2000.0,
-    comp=CompositionClass.INTERMEDIATE,
-):
-    return EruptionRecord(
-        volcano_name=name,
-        start_year=start,
-        duration=duration,
-        censored=censored,
-        composition_class=comp,
-        silica_pct=silica,
+def make_catalog(rows, **columns):
+    """The one test builder of catalogs, on the column constructor: rows
+    of (duration, censored) or (duration, censored, silica), named V0,
+    V1, ..., started in 2000 and intermediate, unless ``columns`` gives
+    one of those columns whole."""
+    rows = list(rows)
+    return Catalog(
+        **{
+            "names": [f"V{i}" for i in range(len(rows))],
+            "start_year": [2000.0] * len(rows),
+            "duration": [row[0] for row in rows],
+            "censored": [row[1] for row in rows],
+            "comp_class": [CompositionClass.INTERMEDIATE] * len(rows),
+            "silica": [row[2] if len(row) > 2 else None for row in rows],
+            **columns,
+        }
     )
-
-
-def make_catalog(rows):
-    """rows: iterable of (duration, censored) or (duration, censored, silica)."""
-    records = []
-    for i, row in enumerate(rows):
-        silica = row[2] if len(row) > 2 else None
-        records.append(
-            make_record(row[0], censored=row[1], silica=silica, name=f"V{i}")
-        )
-    return Catalog(tuple(records))
 
 
 @pytest.fixture
@@ -49,20 +39,12 @@ def silica_catalog():
         58.0: CompositionClass.INTERMEDIATE,
         67.0: CompositionClass.EVOLVED,
     }
-    records = []
-    for i in range(60):
+    rows = []
+    for _ in range(60):
         x = float(rng.choice([50.0, 58.0, 67.0]))
         t = float(0.7 * np.expm1(-np.log(rng.random()) / 0.65))
-        records.append(
-            make_record(
-                t,
-                censored=bool(rng.random() < 0.1),
-                silica=x,
-                name=f"V{i}",
-                comp=classes[x],
-            )
-        )
-    return Catalog(tuple(records))
+        rows.append((t, bool(rng.random() < 0.1), x))
+    return make_catalog(rows, comp_class=[classes[row[2]] for row in rows])
 
 
 def reference_log_target(kernel, prior):

@@ -142,6 +142,8 @@ def test_gof_roundtrip(tmp_path, sim_catalog):
     assert 0.0 <= doc["p_value"] <= 1.0
     # a well-specified model should not be wildly rejected
     assert doc["p_value"] > 1e-4
+    # strict JSON: the unbounded top bin edge is null
+    assert doc["bin_edges"][0] == 0.0 and doc["bin_edges"][-1] is None
 
 
 def test_gof_too_few_bins_exit_1(tmp_path, sim_catalog):
@@ -238,6 +240,55 @@ def test_empirical_outputs(tmp_path, reg_catalog):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["total"] == 300
     assert summary["completed"] + summary["ongoing"] == 300
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_recovery_without_any_fit_writes_null(tmp_path):
+    # One record per replication leaves no fit to recover.
+    out = tmp_path / "rec"
+    assert run(["recovery", "--n", 1, "--reps", 10, "--out", out]) == 0
+    with open(out / "recovery.json") as fh:
+        doc = json.load(fh, parse_constant=_refuse_constant)
+    assert doc["failures"] == 10
+    for stat in ("bias", "rmse", "coverage95"):
+        assert doc[stat] == {"alpha": None, "beta": None}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_output_refuses_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(domecast.cli.DataError, match="non-finite number"):
+        domecast.cli._write_json(str(path), {"x": [1.0, value]})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "recovery"])
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (["--horizon", 3], "--horizon applies only to --censoring fixed_horizon"),
+        (["--censoring", "random_fraction", "--horizon", 3],
+         "--horizon applies only to --censoring fixed_horizon"),
+        (["--fraction", 0.1], "--fraction applies only to --censoring random_fraction"),
+        (["--censoring", "fixed_horizon", "--horizon", 3, "--fraction", 0.1],
+         "--fraction applies only to --censoring random_fraction"),
+        (["--lambda", 2, "--gamma-alpha", 0.1],
+         "--gamma-alpha and --gamma-beta do not apply with --lambda"),
+        (["--lambda", 2, "--gamma-beta", 0],
+         "--gamma-alpha and --gamma-beta do not apply with --lambda"),
+    ],
+)
+def test_simulation_options_that_do_not_apply_are_usage_errors(
+    tmp_path, capsys, command, options, message
+):
+    reps = ["--reps", 10] if command == "recovery" else []
+    capsys.readouterr()
+    assert run([command, "--n", 5, *options, *reps, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_recovery_cli(tmp_path):
@@ -686,12 +737,37 @@ def test_gof_refuses_a_class_fit_without_its_class(tmp_path, capsys, class_fits,
     bad = tmp_path / "fit.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run(["gof", catalog_csv, "--fit", bad, "--out", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err == (
-        f"error: grouped fit JSON {str(bad)!r} names no known class in a "
-        "'class=' note\n"
-    )
-    assert list((tmp_path / "out").iterdir()) == []
+    for command in ("gof", "empirical"):  # both read the class the same way
+        assert run([command, catalog_csv, "--fit", bad, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grouped fit JSON {str(bad)!r} names no known class in a "
+            "'class=' note\n"
+        )
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_empirical_median_shifts_cover_a_grouped_fit_class_only(tmp_path):
+    work = tmp_path / "work"
+    assert run(["simulate", "--alpha", 0.65, "--beta", 0.7, "--gamma-alpha", 0.04,
+                "--gamma-beta", 0.13, "--n", 177, "--censoring", "random_fraction",
+                "--fraction", 0.1, "--seed", 3, "--out", work]) == 0
+    assert run(["fit", work / "catalog.csv", "--model", "grouped", "--class",
+                "evolved", "--out", work]) == 0
+    assert run(["empirical", work / "catalog.csv", "--fit", work / "fit.json",
+                "--out", work]) == 0
+    header, *rows = (work / "segments.csv").read_text().splitlines()
+    assert header == "volcano,class,age_s,median_shift"
+    # The rows of the evolved fit's own class, computed as every row is.
+    est = json.loads((work / "fit.json").read_text())["estimates"]
+    p = domecast.GPaParams(est["alpha"], est["beta"])
+    with open(work / "catalog.csv") as fh:
+        evolved = parse_catalog(fh).filter_class(CompositionClass.EVOLVED)
+    ongoing = evolved.censored
+    want = [
+        f"{name},evolved,{age},{domecast.plugin_remaining_quantile(p, age, 0.5)}"
+        for name, age in zip(evolved.names[ongoing], evolved.duration[ongoing].tolist())
+    ]
+    assert len(rows) == 3 and rows == want
 
 
 @pytest.mark.parametrize("where", ["file", "under-a-file"])

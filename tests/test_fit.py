@@ -68,7 +68,7 @@ def test_fit_aggregate_deterministic(synthetic_gpa):
 
 def test_replication_doubling(synthetic_gpa):
     single = fit_aggregate(synthetic_gpa)
-    double = fit_aggregate(synthetic_gpa.concat(synthetic_gpa))
+    double = fit_aggregate(synthetic_gpa._take(np.tile(np.arange(synthetic_gpa.n), 2)))
     for k in ("alpha", "beta"):
         assert double.estimates[k] == pytest.approx(single.estimates[k], rel=1e-6)
         ratio = single.standard_errors[k] / double.standard_errors[k]

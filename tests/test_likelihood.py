@@ -28,18 +28,17 @@ def test_aggregate_single_censored():
 
 
 def test_aggregate_empty_catalog():
-    from domecast.catalog import Catalog
-
     with pytest.raises(ValueError, match="empty"):
-        nllh_aggregate(Catalog(()), P11)
+        nllh_aggregate(make_catalog([]), P11)
 
 
 def test_additivity():
-    a = make_catalog([(1.0, False), (2.0, True)])
-    b = make_catalog([(0.5, False), (7.0, False), (3.0, True)])
+    a = [(1.0, False), (2.0, True)]
+    b = [(0.5, False), (7.0, False), (3.0, True)]
     p = GPaParams(0.7, 1.3)
-    assert nllh_aggregate(a.concat(b), p) == pytest.approx(
-        nllh_aggregate(a, p) + nllh_aggregate(b, p), rel=1e-12
+    assert nllh_aggregate(make_catalog(a + b), p) == pytest.approx(
+        nllh_aggregate(make_catalog(a), p) + nllh_aggregate(make_catalog(b), p),
+        rel=1e-12,
     )
 
 
@@ -48,9 +47,9 @@ def test_censoring_flip_delta():
     # NLLH changes by log(alpha/beta) - log(1 + t/beta) exactly.
     t, alpha, beta = 2.7, 0.8, 1.4
     p = GPaParams(alpha, beta)
-    base = make_catalog([(5.0, False), (1.0, True)])
-    unc = base.concat(make_catalog([(t, False)]))
-    cen = base.concat(make_catalog([(t, True)]))
+    base = [(5.0, False), (1.0, True)]
+    unc = make_catalog(base + [(t, False)])
+    cen = make_catalog(base + [(t, True)])
     delta = nllh_aggregate(cen, p) - nllh_aggregate(unc, p)
     assert delta == pytest.approx(
         math.log(alpha / beta) - math.log1p(t / beta), rel=1e-12

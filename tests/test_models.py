@@ -99,30 +99,52 @@ def test_model_kernel_follows_the_table(catalog, kind):
     assert (model_kernel(kind, catalog).dx is not None) == model.silica
 
 
-class _KernelCalls(ast.NodeVisitor):
-    """The enclosing function of every ``_Kernel(...)`` call."""
+class _Calls(ast.NodeVisitor):
+    """The enclosing ``Class.function`` of every call of ``name``."""
 
-    def __init__(self):
-        self.scope, self.callers = ["<module>"], []
+    def __init__(self, name):
+        self.name, self.scope, self.callers = name, [], []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        if name == "_Kernel":
-            self.callers.append(self.scope[-1])
+        if name == self.name:
+            self.callers.append(".".join(self.scope) or "<module>")
         self.generic_visit(node)
 
 
-def test_kernel_is_built_only_by_model_kernel():
-    builders = []
+def _callers(name):
+    """(file, enclosing scope) of every call of ``name`` in ``src/``."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
-        calls = _KernelCalls()
+        calls = _Calls(name)
         calls.visit(ast.parse(path.read_text()))
-        builders += [(path.name, caller) for caller in calls.callers]
-    assert builders == [("likelihood.py", "model_kernel")]
+        found += [(path.name, caller) for caller in calls.callers]
+    return found
+
+
+def test_kernel_is_built_only_by_model_kernel():
+    assert _callers("_Kernel") == [("likelihood.py", "model_kernel")]
+
+
+def test_catalogs_are_built_only_by_their_constructor():
+    # EruptionRecord rows exist only in the records view; a Catalog is
+    # made only by Catalog(...), directly or through dataclasses.replace,
+    # never by __new__ or a Catalog.<attribute> classmethod.
+    assert _callers("EruptionRecord") == [("catalog.py", "Catalog.records")]
+    assert _callers("Catalog") == [("catalog.py", "parse_catalog"),
+                                   ("simulate.py", "generate")]
+    detours = [
+        (path.name, ast.unparse(node))
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "__new__" or getattr(node.value, "id", None) == "Catalog")
+    ]
+    assert detours == []
