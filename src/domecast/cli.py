@@ -74,14 +74,6 @@ def _load_catalog(path: str) -> Catalog:
         raise DataError(f"cannot read catalog {path!r}: {exc}") from exc
 
 
-# fit.json's model_kind -> its entry of the model table
-_FIT_MODELS = {
-    **MODELS,
-    "grouped": MODELS["aggregate"],
-    "grouped-exponential": MODELS["exponential"],
-}
-
-
 def _read_fit_doc(path: str) -> dict:
     """A FitResult JSON file as a dict, the one reader of fit.json.  A
     ``duration_units`` other than ``years`` was written by a ``fit`` that
@@ -107,9 +99,9 @@ def _model_from_fit_doc(path: str):
     file; DataError names the file and the key at fault."""
     doc = _read_fit_doc(path)
     kind = doc.get("model_kind")
-    if not isinstance(kind, str) or kind not in _FIT_MODELS:
+    if not isinstance(kind, str) or kind not in MODELS:
         raise DataError(f"unsupported model_kind {kind!r} in fit JSON {path!r}")
-    model = _FIT_MODELS[kind]
+    model = MODELS[kind]
     est = doc.get("estimates", {})
     try:
         return model.cls(*(est[key] for key in model.params)), len(model.params), doc
@@ -119,26 +111,30 @@ def _model_from_fit_doc(path: str):
         raise DataError(f"fit JSON {path!r}: {exc}") from None
 
 
-def _fitted_records(cat: Catalog, doc: dict, path: str) -> Catalog:
-    """The records a fit describes: all of ``cat``, or for a grouped fit
-    those of the class named by the one ``class=`` note that
-    ``fit_grouped`` writes; DataError when that note is missing or names
-    no known class."""
-    if not doc["model_kind"].startswith("grouped"):
-        return cat
-    notes = doc.get("notes")
+def _fitted_records(cat: Catalog, doc: dict, path: str) -> tuple[str, Catalog]:
+    """(label, records) of the records a fit describes: the class named by
+    the ``class=`` note that ``fit_grouped`` writes, or ``all`` of ``cat``
+    for a fit with no such note; DataError when the notes are not a list,
+    or hold more than one such note or one naming no known class."""
+    fault = DataError(
+        f"fit JSON {path!r} needs a list of notes with at most one 'class=' "
+        "note, naming a known class"
+    )
+    notes = doc.get("notes", [])
+    if not isinstance(notes, list):
+        raise fault
     names = [
         note.split("=", 1)[1]
-        for note in (notes if isinstance(notes, list) else [])
+        for note in notes
         if isinstance(note, str) and note.startswith("class=")
     ]
+    if not names:
+        return "all", cat
     try:
         (name,) = names
-        return cat.filter_class(CompositionClass(name))
+        return name, cat.filter_class(CompositionClass(name))
     except ValueError:
-        raise DataError(
-            f"grouped fit JSON {path!r} names no known class in a 'class=' note"
-        ) from None
+        raise fault from None
 
 
 def _require_silica(regression: bool, silica: Optional[float]) -> None:
@@ -169,16 +165,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
-    if args.model != "grouped" and (args.comp_class or args.family):
-        raise UsageError("--class and --family need --model grouped")
-    if args.model == "grouped" and args.comp_class is None:
-        raise UsageError("--class is required for the grouped model")
     cat = _load_catalog(args.catalog)
-    if args.completed_only:
-        cat = cat.completed_only()
-    if args.model == "grouped":
-        comp_class = CompositionClass(args.comp_class)
-        result = fit.fit_grouped(cat, comp_class, family=args.family or "gpa")
+    if args.comp_class:
+        result = fit.fit_grouped(cat, CompositionClass(args.comp_class), args.model)
     else:
         result = getattr(fit, f"fit_{args.model}")(cat)
     _write_json(os.path.join(args.out, "fit.json"), result.to_dict())
@@ -186,12 +175,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gof(args) -> int:
-    """Test a fit against the catalog's completed records; a grouped fit
+    """Test a fit against the catalog's completed records; a class fit
     only against those of its class."""
     cat = _load_catalog(args.catalog).completed_only()
     model, k_fitted, doc = _model_from_fit_doc(args.fit)
     _require_silica(isinstance(model, RegressionParams), args.silica)
-    cat = _fitted_records(cat, doc, args.fit)
+    _, cat = _fitted_records(cat, doc, args.fit)
     p = _pinned(model, args.silica)
     inverse_cdf = exp_quantile if isinstance(p, ExpParams) else quantile
     report = gof.gof_test(
@@ -286,18 +275,20 @@ def _sim_spec_from_args(args) -> simulate.SimSpec:
     for option, rule in (("horizon", "fixed_horizon"), ("fraction", "random_fraction")):
         if getattr(args, option) is not None and args.censoring != rule:
             raise UsageError(f"--{option} applies only to --censoring {rule}")
+    alpha, beta = (1.0 if v is None else v for v in (args.alpha, args.beta))
     if args.lam is not None:
-        if (args.gamma_alpha, args.gamma_beta) != (None, None):
+        if (args.alpha, args.beta, args.gamma_alpha, args.gamma_beta) != (None,) * 4:
             raise UsageError(
-                "--gamma-alpha and --gamma-beta do not apply with --lambda"
+                "--alpha, --beta, --gamma-alpha and --gamma-beta do not apply "
+                "with --lambda"
             )
         model = ExpParams(args.lam)
     elif args.gamma_alpha is not None or args.gamma_beta is not None:
         model = RegressionParams(
-            args.alpha, args.beta, args.gamma_alpha or 0.0, args.gamma_beta or 0.0
+            alpha, beta, args.gamma_alpha or 0.0, args.gamma_beta or 0.0
         )
     else:
-        model = GPaParams(args.alpha, args.beta)
+        model = GPaParams(alpha, beta)
     return simulate.SimSpec(
         model=model,
         n=args.n,
@@ -325,13 +316,15 @@ def cmd_recovery(args) -> int:
 def cmd_empirical(args) -> int:
     """Emit plain-CSV plotting data: per-class empirical exceedance
     fractions, fitted model curves, and median-shift segments for the
-    ongoing records the fit describes (for a grouped fit, those of its
-    class).  A refused median shift leaves no file behind."""
+    ongoing records the fit describes (for a class fit, those of its
+    class).  The model curve's ``class`` column names the records the fit
+    describes, as ``empirical.csv``'s does.  A refused median shift leaves
+    no file behind."""
     cat = _load_catalog(args.catalog)
     model = None
     if args.fit:
         model, _, doc = _model_from_fit_doc(args.fit)
-        fitted = _fitted_records(cat, doc, args.fit)
+        fit_label, fitted = _fitted_records(cat, doc, args.fit)
 
     lines = ["class,duration,fraction_exceeding"]
     groups = {"all": cat}
@@ -344,14 +337,14 @@ def cmd_empirical(args) -> int:
             lines.append(f"{label},{d},{(n - i) / n}")
 
     if model is not None:
-        curve_lines = ["t,survival"]
+        curve_lines = ["class,t,survival"]
         seg_lines = ["volcano,class,age_s,median_shift"]
         if not isinstance(model, ExpParams):
             t_max = float(cat.duration.max())
             t_grid = np.logspace(-3, np.log10(2 * t_max), 200)
             base = _pinned(model, SILICA_CENTER)
             for t, p in zip(t_grid, survival(base, t_grid)):
-                curve_lines.append(f"{t},{p}")
+                curve_lines.append(f"{fit_label},{t},{p}")
             ongoing = fitted.censored
             for name, comp, age, silica in zip(
                 fitted.names[ongoing],
@@ -387,20 +380,12 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit")
     p_fit.add_argument("catalog")
-    p_fit.add_argument(
-        "--model",
-        choices=["aggregate", "grouped", "regression"],
-        default="aggregate",
-    )
+    p_fit.add_argument("--model", choices=list(MODELS), default="aggregate")
     p_fit.add_argument(
         "--class",
         dest="comp_class",
         choices=[c.value for c in CompositionClass],
-        help="composition class for the grouped model",
-    )
-    p_fit.add_argument("--family", choices=["gpa", "exponential"], help="default: gpa")
-    p_fit.add_argument(
-        "--completed-only", action="store_true", help="drop ongoing records first"
+        help="fit only the records of this composition class",
     )
     add_out(p_fit)
     p_fit.set_defaults(func=cmd_fit)
@@ -416,7 +401,7 @@ def build_parser() -> _Parser:
     p_post = sub.add_parser("posterior", help="Metropolis-Hastings posterior chain")
     p_post.add_argument("catalog")
     p_post.add_argument(
-        "--model", choices=["aggregate", "regression"], default="aggregate"
+        "--model", choices=[k for k, m in MODELS.items() if m.theta], default="aggregate"
     )
     p_post.add_argument("--burn-in", type=int, default=10_000)
     p_post.add_argument("--iters", type=int, default=1_000_000)
@@ -440,8 +425,8 @@ def build_parser() -> _Parser:
     p_fc.set_defaults(func=cmd_forecast)
 
     def add_sim_model(p):
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--beta", type=float, default=1.0)
+        p.add_argument("--alpha", type=float, help="default: 1")
+        p.add_argument("--beta", type=float, help="default: 1")
         p.add_argument("--lambda", dest="lam", type=float, help="exponential rate")
         p.add_argument("--gamma-alpha", type=float)
         p.add_argument("--gamma-beta", type=float)

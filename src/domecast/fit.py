@@ -66,7 +66,7 @@ class HessianError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitResult:
-    model_kind: str  # aggregate | grouped | regression | exponential
+    model_kind: str  # a key of likelihood.MODELS
     estimates: dict
     standard_errors: Optional[dict]
     nllh_at_mle: float
@@ -224,24 +224,19 @@ def fit_exponential(catalog: Catalog) -> FitResult:
 
 
 def fit_grouped(
-    catalog: Catalog, comp_class: CompositionClass, family: str = "gpa"
+    catalog: Catalog, comp_class: CompositionClass, kind: str = "aggregate"
 ) -> FitResult:
-    """Fit one composition class with either the Pareto or the exponential
-    family; the likelihood kernel is shared with the aggregate fit.  The
-    class is noted as ``class=<value>``, from which ``gof`` takes the
-    records to test the fit on."""
+    """``fit_<kind>`` on the records of one composition class, noted as
+    ``class=<value>``, from which ``gof`` and ``empirical`` take the
+    records the fit describes.  ValueError for a kind not in ``MODELS``
+    or a class with no records."""
+    if kind not in MODELS:
+        raise ValueError(f"unknown model_kind {kind!r}")
     sub = catalog.filter_class(comp_class)
     if sub.n == 0:
-        raise FitError(f"no records in class {comp_class.value!r}")
-    family = family.lower()
-    if family not in ("gpa", "exponential"):
-        raise ValueError(f"unknown family {family!r}")
-    exponential = family == "exponential"
-    result = fit_exponential(sub) if exponential else fit_aggregate(sub)
-    kind = "grouped-exponential" if exponential else "grouped"
-    return replace(
-        result, model_kind=kind, notes=result.notes + (f"class={comp_class.value}",)
-    )
+        raise ValueError(f"no records in class {comp_class.value!r}")
+    result = globals()[f"fit_{kind}"](sub)
+    return replace(result, notes=result.notes + (f"class={comp_class.value}",))
 
 
 def fit_regression(catalog: Catalog) -> FitResult:

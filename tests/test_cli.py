@@ -109,16 +109,16 @@ def test_fit_aggregate_json(tmp_path, sim_catalog):
     assert doc["n"] == 400 and doc["converged"] is True
 
 
-def test_fit_regression_and_grouped(tmp_path, reg_catalog):
+def test_fit_regression_and_class(tmp_path, reg_catalog):
     out = tmp_path / "fit"
     assert run(["fit", reg_catalog, "--model", "regression", "--out", out]) == 0
     doc = json.loads((out / "fit.json").read_text())
     assert set(doc["estimates"]) == {"alpha", "beta", "gamma_alpha", "gamma_beta"}
-    assert run(["fit", reg_catalog, "--model", "grouped",
-                "--class", "intermediate", "--family", "exponential",
-                "--out", out]) == 0
+    assert run(["fit", reg_catalog, "--model", "exponential",
+                "--class", "intermediate", "--out", out]) == 0
     doc = json.loads((out / "fit.json").read_text())
-    assert doc["model_kind"] == "grouped-exponential"
+    assert doc["model_kind"] == "exponential"
+    assert doc["notes"] == ["class=intermediate"]
 
 
 def test_fit_regression_missing_silica_exit_2(tmp_path, sim_catalog):
@@ -126,8 +126,40 @@ def test_fit_regression_missing_silica_exit_2(tmp_path, sim_catalog):
                 "--out", tmp_path]) == 2
 
 
-def test_fit_grouped_requires_class(tmp_path, sim_catalog):
-    assert run(["fit", sim_catalog, "--model", "grouped", "--out", tmp_path]) == 1
+def test_fit_removed_spellings_are_usage_errors(tmp_path, capsys, sim_catalog):
+    # A class is a filter (--class) on every model kind, not a model kind.
+    for extra in (["--model", "grouped", "--class", "mafic"],
+                  ["--model", "grouped-exponential"],
+                  ["--class", "mafic", "--family", "exponential"],
+                  ["--completed-only"]):
+        capsys.readouterr()
+        assert run(["fit", sim_catalog, *extra, "--out", tmp_path / "fit"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "fit").exists()
+
+
+def test_fit_of_an_empty_class_is_a_data_error(tmp_path, capsys):
+    one_class = tmp_path / "catalog.csv"
+    one_class.write_text("volcano,start_year,duration_yr,status,class,silica_pct\n"
+                         "A,1990,2.0,completed,evolved,\n"
+                         "B,2000,1.0,completed,evolved,\n")
+    for kind in ("aggregate", "exponential"):
+        capsys.readouterr()
+        assert run(["fit", one_class, "--model", kind, "--class", "mafic",
+                    "--out", tmp_path / "fit"]) == 2
+        assert capsys.readouterr().err == "error: no records in class 'mafic'\n"
+    assert list((tmp_path / "fit").iterdir()) == []
+
+
+def test_exponential_whole_catalog_gof_has_the_papers_dof(tmp_path, sim_catalog):
+    # The paper's heavy-tail test: the whole-catalog exponential fit on 13
+    # bins has 13 - 1 - 1 = 11 dof, the Pareto fit 10.
+    for kind, dof in (("exponential", 11), ("aggregate", 10)):
+        out = tmp_path / kind
+        assert run(["fit", sim_catalog, "--model", kind, "--out", out]) == 0
+        assert run(["gof", sim_catalog, "--fit", out / "fit.json", "--out", out]) == 0
+        doc = json.loads((out / "gof.json").read_text())
+        assert (doc["n_bins"], doc["dof"]) == (13, dof)
 
 
 def test_gof_roundtrip(tmp_path, sim_catalog):
@@ -265,6 +297,9 @@ def test_json_output_refuses_non_finite_numbers(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
 
 
+LAMBDA_ONLY = "--alpha, --beta, --gamma-alpha and --gamma-beta do not apply with --lambda"
+
+
 @pytest.mark.parametrize("command", ["simulate", "recovery"])
 @pytest.mark.parametrize(
     "options,message",
@@ -275,10 +310,10 @@ def test_json_output_refuses_non_finite_numbers(tmp_path, value):
         (["--fraction", 0.1], "--fraction applies only to --censoring random_fraction"),
         (["--censoring", "fixed_horizon", "--horizon", 3, "--fraction", 0.1],
          "--fraction applies only to --censoring random_fraction"),
-        (["--lambda", 2, "--gamma-alpha", 0.1],
-         "--gamma-alpha and --gamma-beta do not apply with --lambda"),
-        (["--lambda", 2, "--gamma-beta", 0],
-         "--gamma-alpha and --gamma-beta do not apply with --lambda"),
+        (["--lambda", 2, "--gamma-alpha", 0.1], LAMBDA_ONLY),
+        (["--lambda", 2, "--gamma-beta", 0], LAMBDA_ONLY),
+        (["--lambda", 2, "--alpha", 0.5], LAMBDA_ONLY),
+        (["--lambda", 2, "--beta", 1], LAMBDA_ONLY),
     ],
 )
 def test_simulation_options_that_do_not_apply_are_usage_errors(
@@ -402,13 +437,19 @@ def test_fit_json_in_days_is_refused(tmp_path, capsys, sim_catalog):
             assert list(refused.iterdir()) == []
 
 
-def test_fit_class_and_family_need_grouped(tmp_path, capsys, sim_catalog):
-    for extra in (["--family", "exponential"], ["--class", "mafic"],
-                  ["--model", "regression", "--class", "evolved"]):
-        capsys.readouterr()
-        assert run(["fit", sim_catalog, *extra, "--out", tmp_path / "fit"]) == 1
-        assert "need --model grouped" in capsys.readouterr().err
-    assert list((tmp_path / "fit").iterdir()) == []
+@pytest.mark.parametrize("kind", list(domecast.likelihood.MODELS))
+def test_fit_class_is_the_fit_of_the_class_records(tmp_path, reg_catalog, kind):
+    # fit --class C is fit on the records of class C, noted as class=C.
+    with open(reg_catalog) as fh:
+        evolved = parse_catalog(fh).filter_class(CompositionClass.EVOLVED)
+    only_class = tmp_path / "evolved.csv"
+    only_class.write_text(serialize_catalog(evolved))
+    assert run(["fit", reg_catalog, "--model", kind, "--class", "evolved",
+                "--out", tmp_path / "class"]) == 0
+    assert run(["fit", only_class, "--model", kind, "--out", tmp_path / "filtered"]) == 0
+    doc = json.loads((tmp_path / "class" / "fit.json").read_text())
+    want = json.loads((tmp_path / "filtered" / "fit.json").read_text())
+    assert doc == {**want, "notes": want["notes"] + ["class=evolved"]}
 
 
 def test_posterior_refuses_a_negative_seed(tmp_path, capsys, sim_catalog):
@@ -521,14 +562,14 @@ def test_forecast_writes_nothing_before_a_bad_grid(tmp_path, regression_fit_and_
     assert list(out.iterdir()) == []
 
 
-def test_empirical_grouped_exponential_fit(tmp_path, sim_catalog):
+def test_empirical_exponential_class_fit(tmp_path, sim_catalog):
     fit_out = tmp_path / "fit"
-    assert run(["fit", sim_catalog, "--model", "grouped", "--class", "intermediate",
-                "--family", "exponential", "--out", fit_out]) == 0
+    assert run(["fit", sim_catalog, "--model", "exponential", "--class",
+                "intermediate", "--out", fit_out]) == 0
     out = tmp_path / "emp"
     assert run(["empirical", sim_catalog, "--fit", fit_out / "fit.json",
                 "--out", out]) == 0
-    assert (out / "model_curve.csv").read_text() == "t,survival\n"
+    assert (out / "model_curve.csv").read_text() == "class,t,survival\n"
     assert (out / "segments.csv").read_text() == "volcano,class,age_s,median_shift\n"
 
 
@@ -698,17 +739,16 @@ def class_fits(tmp_path_factory):
                 "--gamma-alpha", 0.05, "--gamma-beta", 0.13,
                 "--n", 177, "--seed", 3, "--out", work]) == 0
     fits = {}
-    for family in ("gpa", "exponential"):
-        fits[family] = work / family / "fit.json"
-        assert run(["fit", work / "catalog.csv", "--model", "grouped",
-                    "--class", "evolved", "--family", family,
-                    "--out", fits[family].parent]) == 0
+    for kind in ("aggregate", "exponential"):
+        fits[kind] = work / kind / "fit.json"
+        assert run(["fit", work / "catalog.csv", "--model", kind,
+                    "--class", "evolved", "--out", fits[kind].parent]) == 0
     return work / "catalog.csv", fits
 
 
 @pytest.mark.filterwarnings("ignore:expected count per bin")  # 29 records, 13 bins
-@pytest.mark.parametrize("family", ["gpa", "exponential"])
-def test_gof_tests_a_class_fit_on_its_class(tmp_path, class_fits, family):
+@pytest.mark.parametrize("kind", ["aggregate", "exponential"])
+def test_gof_tests_a_class_fit_on_its_class(tmp_path, class_fits, kind):
     catalog_csv, fits = class_fits
     with open(catalog_csv) as fh:
         evolved = parse_catalog(fh).filter_class(CompositionClass.EVOLVED)
@@ -716,43 +756,74 @@ def test_gof_tests_a_class_fit_on_its_class(tmp_path, class_fits, family):
     only_class = tmp_path / "evolved.csv"
     only_class.write_text(serialize_catalog(evolved))
     for catalog, out in ((catalog_csv, "all"), (only_class, "class")):
-        assert run(["gof", catalog, "--fit", fits[family], "--out",
+        assert run(["gof", catalog, "--fit", fits[kind], "--out",
                     tmp_path / out]) == 0
     gof_json = (tmp_path / "all" / "gof.json").read_bytes()
     assert gof_json == (tmp_path / "class" / "gof.json").read_bytes()
     assert sum(json.loads(gof_json)["observed"]) == evolved.n1
 
 
-@pytest.mark.parametrize(
-    "notes", [None, [], ["class=andesitic"], ["class=evolved", "class=mafic"], "x"]
-)
+@pytest.mark.parametrize("notes", [["class=andesitic"], ["class=evolved", "class=mafic"],
+                                   "x"])
 def test_gof_refuses_a_class_fit_without_its_class(tmp_path, capsys, class_fits,
                                                    notes):
     catalog_csv, fits = class_fits
-    doc = json.loads(fits["gpa"].read_text())
-    if notes is None:
-        del doc["notes"]
-    else:
-        doc["notes"] = notes
+    doc = json.loads(fits["aggregate"].read_text())
+    doc["notes"] = notes
     bad = tmp_path / "fit.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
     for command in ("gof", "empirical"):  # both read the class the same way
         assert run([command, catalog_csv, "--fit", bad, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == (
-            f"error: grouped fit JSON {str(bad)!r} names no known class in a "
-            "'class=' note\n"
+            f"error: fit JSON {str(bad)!r} needs a list of notes with at most one "
+            "'class=' note, naming a known class\n"
         )
         assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_empirical_median_shifts_cover_a_grouped_fit_class_only(tmp_path):
+@pytest.mark.parametrize("notes", [None, [], ["a note"]])
+def test_a_fit_without_a_class_note_describes_the_whole_catalog(tmp_path, class_fits,
+                                                                notes):
+    catalog_csv, fits = class_fits
+    doc = json.loads(fits["aggregate"].read_text())
+    if notes is None:
+        del doc["notes"]
+    else:
+        doc["notes"] = notes
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    assert run(["gof", catalog_csv, "--fit", tmp_path / "fit.json",
+                "--out", tmp_path]) == 0
+    with open(catalog_csv) as fh:
+        n1 = parse_catalog(fh).n1
+    assert sum(json.loads((tmp_path / "gof.json").read_text())["observed"]) == n1
+
+
+@pytest.mark.parametrize(
+    "kind,base", [("grouped", "aggregate"), ("grouped-exponential", "exponential")]
+)
+def test_a_grouped_fit_json_is_refused(tmp_path, capsys, class_fits, kind, base):
+    # fit.json files of the former grouped model kinds; a class fit now
+    # keeps its base kind and notes its class.
+    catalog_csv, fits = class_fits
+    doc = json.loads(fits[base].read_text())
+    doc["model_kind"] = kind
+    old = tmp_path / "fit.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["gof", catalog_csv, "--fit", old, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unsupported model_kind {kind!r} in fit JSON {str(old)!r}\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_empirical_median_shifts_cover_a_class_fit_class_only(tmp_path):
     work = tmp_path / "work"
     assert run(["simulate", "--alpha", 0.65, "--beta", 0.7, "--gamma-alpha", 0.04,
                 "--gamma-beta", 0.13, "--n", 177, "--censoring", "random_fraction",
                 "--fraction", 0.1, "--seed", 3, "--out", work]) == 0
-    assert run(["fit", work / "catalog.csv", "--model", "grouped", "--class",
-                "evolved", "--out", work]) == 0
+    assert run(["fit", work / "catalog.csv", "--class", "evolved", "--out", work]) == 0
     assert run(["empirical", work / "catalog.csv", "--fit", work / "fit.json",
                 "--out", work]) == 0
     header, *rows = (work / "segments.csv").read_text().splitlines()
@@ -768,6 +839,10 @@ def test_empirical_median_shifts_cover_a_grouped_fit_class_only(tmp_path):
         for name, age in zip(evolved.names[ongoing], evolved.duration[ongoing].tolist())
     ]
     assert len(rows) == 3 and rows == want
+    # The model curve says which records it fits.
+    header, *rows = (work / "model_curve.csv").read_text().splitlines()
+    assert header == "class,t,survival"
+    assert len(rows) == 200 and {row.split(",")[0] for row in rows} == {"evolved"}
 
 
 @pytest.mark.parametrize("where", ["file", "under-a-file"])
@@ -823,7 +898,7 @@ def test_option_set_is_pinned():
     sim = ["--alpha", "--beta", "--censoring", "--fraction", "--gamma-alpha",
            "--gamma-beta", "--horizon", "--lambda", "--n", "--out", "--seed"]
     assert got == {
-        "fit": ["--class", "--completed-only", "--family", "--model", "--out"],
+        "fit": ["--class", "--model", "--out"],
         "gof": ["--bins", "--fit", "--out", "--silica"],
         "posterior": ["--burn-in", "--iters", "--model", "--out", "--seed", "--thin"],
         "forecast": ["--age", "--chain", "--days", "--fit", "--grid", "--out",

@@ -104,18 +104,25 @@ def test_fit_aggregate_flags_beta_search_bounds(synthetic_gpa):
 
 
 def test_fit_grouped_classes(silica_catalog):
-    r = fit_grouped(silica_catalog, CompositionClass.INTERMEDIATE, family="gpa")
-    assert r.model_kind == "grouped"
+    r = fit_grouped(silica_catalog, CompositionClass.INTERMEDIATE)
+    assert r.model_kind == "aggregate"
     assert "class=intermediate" in r.notes
-    r2 = fit_grouped(silica_catalog, CompositionClass.EVOLVED, family="exponential")
-    assert r2.model_kind == "grouped-exponential"
+    r2 = fit_grouped(silica_catalog, CompositionClass.EVOLVED, "exponential")
+    assert r2.model_kind == "exponential"
+    assert r2.notes == ("class=evolved",)
     assert r2.k == 1
 
 
 def test_fit_grouped_empty_class():
     cat = make_catalog([(1.0, False), (2.0, False)])
-    with pytest.raises(FitError, match="mafic"):
+    with pytest.raises(ValueError, match="no records in class 'mafic'"):
         fit_grouped(cat, CompositionClass.MAFIC)
+
+
+@pytest.mark.parametrize("kind", ["grouped", "gpa", "Aggregate"])
+def test_fit_grouped_unknown_kind(silica_catalog, kind):
+    with pytest.raises(ValueError, match=f"unknown model_kind '{kind}'"):
+        fit_grouped(silica_catalog, CompositionClass.INTERMEDIATE, kind)
 
 
 @pytest.fixture(scope="module")

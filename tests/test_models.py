@@ -10,7 +10,7 @@ import pytest
 
 from domecast import bayes, fit
 from domecast.catalog import CompositionClass
-from domecast.cli import _model_from_fit_doc, main
+from domecast.cli import _fitted_records, _model_from_fit_doc, main
 from domecast.likelihood import MODELS, RegressionParams, model_kernel
 from domecast.pareto import ExpParams, GPaParams
 from domecast.simulate import SimSpec, generate
@@ -28,32 +28,36 @@ def catalog():
     return generate(SimSpec(TRUTHS["regression"], n=300, seed=7))
 
 
-def _fit(kind, catalog):
-    """(table entry, FitResult) of each kind a fit.json can hold."""
-    intermediate = CompositionClass.INTERMEDIATE
-    if kind == "grouped":
-        return MODELS["aggregate"], fit.fit_grouped(catalog, intermediate)
-    if kind == "grouped-exponential":
-        return MODELS["exponential"], fit.fit_grouped(catalog, intermediate,
-                                                      "exponential")
-    return MODELS[kind], getattr(fit, f"fit_{kind}")(catalog)
-
-
-@pytest.mark.parametrize(
-    "kind", ["aggregate", "grouped", "regression", "exponential", "grouped-exponential"]
-)
-def test_fit_files_follow_the_table(tmp_path, catalog, kind):
-    model, result = _fit(kind, catalog)
+@pytest.mark.parametrize("comp_class", [None, CompositionClass.INTERMEDIATE])
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_fit_files_follow_the_table(tmp_path, catalog, kind, comp_class):
+    # A class fit is a whole-catalog fit of the class's records; its kind
+    # stays a key of the table.
+    model = MODELS[kind]
+    if comp_class is None:
+        result, records = getattr(fit, f"fit_{kind}")(catalog), catalog
+    else:
+        result = fit.fit_grouped(catalog, comp_class, kind)
+        records = catalog.filter_class(comp_class)
     assert result.model_kind == kind
     assert tuple(result.estimates) == model.params
-    assert tuple(result.standard_errors) == model.params
+    # A simulated class holds one silica value, so a regression fit of it
+    # lies on a flat ridge and has no standard errors.
+    ridge = comp_class is not None and model.silica
+    assert (result.standard_errors is None) == ridge
+    if not ridge:
+        assert tuple(result.standard_errors) == model.params
     assert result.k == len(model.params)
+    assert result.n == records.n
     path = tmp_path / "fit.json"
     path.write_text(json.dumps(result.to_dict()))
     params, k, doc = _model_from_fit_doc(str(path))
     assert doc["model_kind"] == kind
     assert params == model.cls(*result.estimates.values())
     assert k == len(model.params)
+    label, fitted = _fitted_records(catalog, doc, str(path))
+    assert label == ("all" if comp_class is None else comp_class.value)
+    assert fitted.names.tolist() == records.names.tolist()
 
 
 @pytest.mark.parametrize("kind", [k for k, m in MODELS.items() if m.theta])
