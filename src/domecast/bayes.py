@@ -193,11 +193,6 @@ def _marginal_log_target(kernel: _Kernel, prior: PriorSpec):
     return log_target
 
 
-def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
-    """Accept a symmetric-proposal move with probability min(1, e^log_ratio)."""
-    return log_ratio >= 0 or math.log(rng.random()) < log_ratio
-
-
 def _start_point(model_kind: str, catalog: Catalog) -> list[float]:
     """The MLE of the walked coordinates, or zeros when the fit fails."""
     gammas = MODELS[model_kind].theta[1:]  # theta = (log beta, *gammas)
@@ -210,13 +205,16 @@ def _start_point(model_kind: str, catalog: Catalog) -> list[float]:
 
 def _walk(rng, log_target, state, chol, out, thin=1):
     """Random-walk Metropolis for ``thin * len(out)`` steps from
-    ``state = (y, log density, S)`` with increments N(0, chol chol^T).
+    ``state = (y, log density, S)`` with increments N(0, chol chol^T);
+    a move is accepted with probability min(1, e^(log density ratio)).
 
     Every ``thin``-th state is written to a row of ``out`` as (S, *y).
     Returns the final state and the number of accepted moves.  Works in
     blocks of ``ADAPT_WINDOW`` steps (see the module docstring).
     """
     y, lp, S = state
+    row = (S, *y)  # the current state's row, rebuilt only on a move
+    random, log = rng.random, math.log
     steps = thin * len(out)
     accepts = written = 0
     for start in range(0, steps, ADAPT_WINDOW):
@@ -226,11 +224,13 @@ def _walk(rng, log_target, state, chol, out, thin=1):
         for i, inc in enumerate(increments, start + 1):
             prop = list(map(add, y, inc))
             lp_prop, S_prop = log_target(prop)
-            if metropolis_accept(rng, lp_prop - lp):
+            log_ratio = lp_prop - lp
+            if log_ratio >= 0 or log(random()) < log_ratio:
                 y, lp, S = prop, lp_prop, S_prop
+                row = (S, *y)
                 accepts += 1
             if i % thin == 0:
-                rows.append((S, *y))
+                rows.append(row)
         if rows:
             out[written : written + len(rows)] = rows
             written += len(rows)

@@ -12,7 +12,9 @@ about ``_BLOCK_ELEMENTS`` values through one reused buffer, taking each
 block's plotted draws, row means and bands before the next, so its
 memory is linear in the number of draws and never holds a
 (draws x grid) matrix; ``predictive_exceedance`` is its one-point case.
-The quartile bisection evaluates one row at a time.
+The bands come from one in-place sort of each block's rows, read with
+numpy's own quantile arithmetic, so they equal ``np.quantile`` to the
+bit.  The quartile bisection evaluates one row at a time.
 """
 
 from __future__ import annotations
@@ -105,6 +107,26 @@ def _exceedance(alpha, beta, s: float):
     return fill
 
 
+def _sorted_row_quantiles(rows, qs) -> np.ndarray:
+    """``np.quantile(rows, qs, axis=1)`` to the bit, from rows sorted
+    ascending: numpy's linear method, with virtual index v = (n - 1) q,
+    its floor i and gamma = v - i, then its ``_lerp``.
+    A row holding a NaN (sorted last) gets NaN."""
+    n = rows.shape[1]
+    out = np.empty((len(qs), rows.shape[0]))
+    for q, row_out in zip(qs, out):
+        v = (n - 1) * q
+        i = math.floor(v)
+        a, b = rows[:, i], rows[:, min(i + 1, n - 1)]
+        gamma, diff = v - i, b - a
+        if gamma >= 0.5:
+            np.subtract(b, diff * (1 - gamma), out=row_out)
+        else:
+            np.add(a, diff * gamma, out=row_out)
+    out[:, np.isnan(rows[:, -1])] = np.nan
+    return out
+
+
 def predictive_exceedance(
     chain: PosteriorChain, s: float, silica: Optional[float], t: float
 ) -> dict:
@@ -128,7 +150,9 @@ def predictive_curve(
     """Exceedance forecast over a sorted time grid, including the plug-in
     curve at the posterior-mean parameters and the first 100 per-draw
     curves for plotting.  Memory is linear in the number of draws: the
-    grid is evaluated a block of rows at a time."""
+    grid is evaluated a block of rows at a time.  Each block gives its
+    plotted draws and row means, and is then sorted in place, row by row,
+    for the 5% and 95% bands (``_sorted_row_quantiles``)."""
     t = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("t_grid must be finite")
@@ -151,10 +175,9 @@ def predictive_curve(
         cols = slice(i, i + block.shape[0])
         draw_curves[:, cols] = block[:, :N_PLOT_DRAWS].T
         mean[cols] = block.mean(axis=1)
-        # Partitions the block in place, so it comes last.
-        band[:, cols] = np.quantile(
-            block, [lo_q, 1 - lo_q], axis=1, overwrite_input=True
-        )
+        # Sorts the block in place, so it comes last.
+        block.sort(axis=1)
+        band[:, cols] = _sorted_row_quantiles(block, (lo_q, 1 - lo_q))
     plug = GPaParams(float(alpha.mean()), float(beta.mean()))
     return ForecastCurve(
         t_grid=t,

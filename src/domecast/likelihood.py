@@ -38,6 +38,11 @@ __all__ = [
 SILICA_CENTER = 60.0  # fixed model convention, not configurable
 
 
+class _OneSilicaError(ValueError):
+    """A silica model on records that share one silica value: a data error
+    for a given catalog, a failed replication in a recovery study."""
+
+
 @dataclass(frozen=True)
 class RegressionParams:
     """Baseline (alpha, beta) plus log-linear silica coefficients.
@@ -138,9 +143,12 @@ class _Kernel:
 
     and the profile MLE of alpha is n1/S.  Without x (the aggregate
     model) w_i = 1 and b_i = beta, and silica is never read.
+
+    Each kernel builds one ``sums`` when it is made, specialised to its
+    model, and ``nllh``, ``profile`` and the sampler all call that one.
     """
 
-    __slots__ = ("t", "delta", "dx", "n1", "delta_dx", "sum_arrays", "moment_arrays")
+    __slots__ = ("t", "delta", "dx", "n1", "delta_dx", "sums", "moment_arrays")
 
     def __init__(self, t, delta, x=None):
         self.t = t
@@ -148,31 +156,43 @@ class _Kernel:
         self.dx = None if x is None else x - SILICA_CENTER
         self.n1 = float(delta.sum())
         self.delta_dx = 0.0 if x is None else float(delta @ self.dx)
-        # Rows (w, delta) with w = 1 without x, a row for L and the (S, U)
-        # pair, overwritten by every ``sums`` call (w only with x): at
-        # n = 177 fresh arrays and separate reductions cost more than the
-        # arithmetic.
-        rows = np.empty((3, len(t)))
-        rows[0], rows[1] = 1.0, delta
-        self.sum_arrays = (rows[:2], rows[2], np.empty(2))
+        self.sums = self._sums_closure()
         self.moment_arrays = None  # built by the first profile_derivatives
 
-    def sums(self, beta, gamma_alpha=0.0, gamma_beta=0.0) -> tuple[float, float]:
+    def _sums_closure(self):
+        """``sums(beta, gamma_alpha=0.0, gamma_beta=0.0) -> (S, U)`` for this
+        kernel's model.  It overwrites buffers made here, rows (e, w, delta)
+        with e_i = exp(gamma_beta dx_i) (rows (w, delta) with w = 1 without
+        x), L and (S, U), through ufuncs bound once with ``out`` by
+        position: at n = 177 fresh arrays and lookups cost more than the
+        arithmetic."""
         t, dx = self.t, self.dx
-        wd, L, SU = self.sum_arrays
-        if dx is None:
-            np.divide(t, beta, out=L)
-        else:
-            np.multiply(dx, gamma_beta, out=L)
-            np.exp(L, out=L)
-            np.multiply(L, beta, out=L)  # b_i
-            np.divide(t, L, out=L)
-            np.multiply(dx, gamma_alpha, out=wd[0])
-            np.exp(wd[0], out=wd[0])
-        np.log1p(L, out=L)
-        wd.dot(L, out=SU)
-        S, U = SU.tolist()
-        return S, U
+        multiply, divide, exp, log1p = np.multiply, np.divide, np.exp, np.log1p
+        rows = np.empty((2 if dx is None else 3, len(t)))
+        rows[-2], rows[-1] = 1.0, self.delta
+        e_w, e, w = rows[:2], rows[0], rows[1]  # read by silica_sums only
+        L, SU = np.empty(len(t)), np.empty(2)
+        dot = rows[-2:].dot  # (w, delta) @ L = (S, U)
+
+        def aggregate_sums(beta, gamma_alpha=0.0, gamma_beta=0.0):
+            divide(t, beta, L)
+            log1p(L, L)
+            dot(L, SU)
+            S, U = SU.tolist()
+            return S, U
+
+        def silica_sums(beta, gamma_alpha=0.0, gamma_beta=0.0):
+            multiply(dx, gamma_beta, e)
+            multiply(dx, gamma_alpha, w)
+            exp(e_w, e_w)
+            multiply(e, beta, L)  # b_i
+            divide(t, L, L)
+            log1p(L, L)
+            dot(L, SU)
+            S, U = SU.tolist()
+            return S, U
+
+        return aggregate_sums if dx is None else silica_sums
 
     def nllh(self, alpha, beta, gamma_alpha=0.0, gamma_beta=0.0) -> float:
         S, U = self.sums(beta, gamma_alpha, gamma_beta)
@@ -271,11 +291,18 @@ class _Kernel:
 
 def model_kernel(kind: str, catalog: Catalog) -> _Kernel:
     """The likelihood kernel of ``MODELS[kind]`` on the catalog; ValueError
-    for a kind without one."""
+    for a kind without one, and for a silica model on a catalog whose
+    records share one silica value, which leaves the silica coefficients
+    unidentified."""
     model = MODELS.get(kind)
     if model is None or not model.theta:
         raise ValueError(f"unknown model_kind {kind!r}")
     t, delta, x = catalog_arrays(catalog, require_silica=model.silica)
+    if model.silica and not (x != x[0]).any():
+        raise _OneSilicaError(
+            f"{kind} model needs at least two distinct silica values; every "
+            f"record has silica_pct {x[0]:g}"
+        )
     return _Kernel(t, delta, x if model.silica else None)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fit
 from .catalog import Catalog, CompositionClass
-from .likelihood import MODELS, RegressionParams, _at_silica
+from .likelihood import MODELS, RegressionParams, _at_silica, _OneSilicaError
 from .pareto import ExpParams, GPaParams, _sample
 
 __all__ = ["SimSpec", "generate", "recovery_study", "RecoveryReport"]
@@ -120,7 +120,9 @@ class RecoveryReport:
 
 def recovery_study(spec: SimSpec, replications: int) -> RecoveryReport:
     """Generate-and-refit study: per-parameter bias, RMSE and coverage of
-    nominal 95% Wald intervals across seeded replications."""
+    nominal 95% Wald intervals across seeded replications.  A replication
+    whose fit fails, or whose records a silica model refuses for sharing
+    one silica value, counts as a failure."""
     if replications < 10:
         raise ValueError("need at least 10 replications")
     kind = next(k for k, m in MODELS.items() if isinstance(spec.model, m.cls))
@@ -137,7 +139,7 @@ def recovery_study(spec: SimSpec, replications: int) -> RecoveryReport:
         try:
             # Looked up per call, so a traced fit_* is the one called.
             result = getattr(fit, f"fit_{kind}")(cat)
-        except fit.FitError:
+        except (fit.FitError, _OneSilicaError):
             failures += 1
             continue
         for k in names:

@@ -10,7 +10,12 @@ from scipy import stats
 from scipy.integrate import quad
 
 import reference
-from conftest import assert_walks_match, make_catalog
+from conftest import (
+    assert_walks_match,
+    make_catalog,
+    reference_log_target,
+    reference_walk,
+)
 from domecast.bayes import (
     ImproperPosteriorError,
     McmcConfig,
@@ -20,7 +25,6 @@ from domecast.bayes import (
     chain_summary,
     lag1_autocorrelation,
     load_chain,
-    metropolis_accept,
     propriety_check,
     run_mh,
     save_chain,
@@ -213,31 +217,25 @@ def _const_chain(draws):
     )
 
 
-def test_detailed_balance_two_point():
-    # two states with target weights (0.3, 0.7) and a flip proposal: the
-    # accept rule should produce transition frequencies matching the kernel
-    pi = np.array([0.3, 0.7])
+def test_walk_samples_a_gaussian_target():
+    # A standard normal target walked with N(0, sigma^2) increments: at
+    # stationarity the acceptance rate is (2/pi) arctan(2/sigma), and the
+    # states have the target's mean and variance.
+    sigma = 2.4
+    steps = 200_000
     rng = np.random.default_rng(17)
-    state = 0
-    counts = np.zeros((2, 2), dtype=int)
-    steps = 1_000_000
-    log_pi = np.log(pi)
-    for _ in range(steps):
-        prop = 1 - state
-        nxt = prop if metropolis_accept(rng, log_pi[prop] - log_pi[state]) else state
-        counts[state, nxt] += 1
-        state = nxt
-    # kernel: P(0->1) = 1; P(1->0) = 3/7
-    n0 = counts[0].sum()
-    n1 = counts[1].sum()
-    p01 = counts[0, 1] / n0
-    p10 = counts[1, 0] / n1
-    assert p01 == 1.0
-    sd = math.sqrt((3 / 7) * (4 / 7) / n1)
-    assert abs(p10 - 3 / 7) < 3 * sd
-    # stationary occupancy matches pi within 3 binomial sigmas
-    sd_pi = math.sqrt(pi[0] * pi[1] / steps)
-    assert abs(n0 / steps - pi[0]) < 3 * sd_pi
+    out = np.empty((steps, 2))
+
+    def log_target(y):
+        return -0.5 * y[0] ** 2, 0.0
+
+    state = ([0.0], *log_target([0.0]))
+    _, accepts = bayes._walk(rng, log_target, state, np.array([[sigma]]), out)
+    rate = 2 / math.pi * math.atan(2 / sigma)
+    assert abs(accepts / steps - rate) < 5 * math.sqrt(rate * (1 - rate) / steps)
+    y = out[:, 1]
+    assert abs(y.mean()) < 0.03
+    assert abs(y.var() - 1.0) < 0.05
 
 
 def test_chain_round_trip(tmp_path, short_chain):
@@ -539,6 +537,24 @@ def test_walk_matches_reference_walk(kind, rows, thin, prior, silica_catalog):
         kernel, prior, y0, WALK_PROPOSALS[kind], 11, rows, thin
     )
     assert 0.1 < accepts / (rows * thin) < 0.9  # downhill moves taken and refused
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "regression"])
+def test_run_mh_matches_the_reference_sampler(kind, silica_catalog, monkeypatch):
+    # The whole sampler, its burn-in adaptation included, on the reference
+    # walk and log target: three whole ADAPT_WINDOW blocks of burn-in and a
+    # part block, then the chain.
+    config = McmcConfig(
+        seed=8, burn_in=3 * bayes.ADAPT_WINDOW + 137, iterations=2000, thin=1
+    )
+    chain = run_mh(kind, silica_catalog, REFERENCE, config)
+    monkeypatch.setattr(bayes, "_walk", reference_walk)
+    monkeypatch.setattr(bayes, "_marginal_log_target", reference_log_target)
+    ref = run_mh(kind, silica_catalog, REFERENCE, config)
+    assert np.array_equal(chain.draws[:, 1:], ref.draws[:, 1:])
+    assert chain.acceptance_rate == ref.acceptance_rate
+    assert np.array_equal(chain.proposal_cholesky, ref.proposal_cholesky)
+    np.testing.assert_allclose(chain.draws[:, 0], ref.draws[:, 0], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["aggregate", "regression"])

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -289,6 +290,18 @@ def test_recovery_without_any_fit_writes_null(tmp_path):
         assert doc[stat] == {"alpha": None, "beta": None}
 
 
+def test_regression_recovery_without_any_fit_writes_null(tmp_path):
+    # One record per replication also holds one silica value, which the
+    # regression model refuses: each replication is a failure, not an error.
+    out = tmp_path / "rec"
+    assert run(["recovery", "--gamma-alpha", 0.05, "--n", 1, "--reps", 10,
+                "--out", out]) == 0
+    doc = json.loads((out / "recovery.json").read_text())
+    assert doc["failures"] == 10
+    for stat in ("bias", "rmse", "coverage95"):
+        assert set(doc[stat].values()) == {None}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_json_output_refuses_non_finite_numbers(tmp_path, value):
     path = tmp_path / "out.json"
@@ -439,17 +452,47 @@ def test_fit_json_in_days_is_refused(tmp_path, capsys, sim_catalog):
 
 @pytest.mark.parametrize("kind", list(domecast.likelihood.MODELS))
 def test_fit_class_is_the_fit_of_the_class_records(tmp_path, reg_catalog, kind):
-    # fit --class C is fit on the records of class C, noted as class=C.
+    # fit --class C is fit on the records of class C, noted as class=C.  The
+    # simulated class holds one silica value, so half its records move to
+    # another, which a regression fit of the class needs.
     with open(reg_catalog) as fh:
-        evolved = parse_catalog(fh).filter_class(CompositionClass.EVOLVED)
+        cat = parse_catalog(fh)
+    evolved = cat.comp_class == CompositionClass.EVOLVED
+    silica = np.where(evolved, np.resize([66.0, 68.0], cat.n), cat.silica)
+    cat = dataclasses.replace(cat, silica=silica)
+    reg_catalog = tmp_path / "catalog.csv"
+    reg_catalog.write_text(serialize_catalog(cat))
     only_class = tmp_path / "evolved.csv"
-    only_class.write_text(serialize_catalog(evolved))
+    evolved_only = cat.filter_class(CompositionClass.EVOLVED)
+    only_class.write_text(serialize_catalog(evolved_only))
     assert run(["fit", reg_catalog, "--model", kind, "--class", "evolved",
                 "--out", tmp_path / "class"]) == 0
     assert run(["fit", only_class, "--model", kind, "--out", tmp_path / "filtered"]) == 0
     doc = json.loads((tmp_path / "class" / "fit.json").read_text())
     want = json.loads((tmp_path / "filtered" / "fit.json").read_text())
     assert doc == {**want, "notes": want["notes"] + ["class=evolved"]}
+
+
+def test_regression_on_one_silica_value_exit_2(tmp_path, capsys, reg_catalog):
+    # A simulated class holds one silica value, and so does a catalog of it:
+    # the regression model is refused, whether fitted or sampled, naming the
+    # value, and nothing is written.
+    with open(reg_catalog) as fh:
+        mafic = parse_catalog(fh).filter_class(CompositionClass.MAFIC)
+    only_class = tmp_path / "mafic.csv"
+    only_class.write_text(serialize_catalog(mafic))
+    want = ("error: regression model needs at least two distinct silica values; "
+            "every record has silica_pct 50\n")
+    for argv in (["fit", reg_catalog, "--model", "regression", "--class", "mafic"],
+                 ["fit", only_class, "--model", "regression"],
+                 ["posterior", only_class, "--model", "regression", "--burn-in", 500,
+                  "--iters", 1000, "--thin", 10, "--seed", 1]):
+        out = tmp_path / f"refused_{len(argv)}"
+        capsys.readouterr()
+        assert run(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == want
+        assert list(out.iterdir()) == []
+    assert run(["fit", only_class, "--out", tmp_path / "aggregate"]) == 0
 
 
 def test_posterior_refuses_a_negative_seed(tmp_path, capsys, sim_catalog):

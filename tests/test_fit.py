@@ -344,17 +344,15 @@ def _with_silica(catalog, silica):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_fit_regression_with_unidentified_gammas_is_not_converged(seed):
+def test_fit_regression_with_unidentified_gammas_is_refused(seed):
     # One silica value for every record: the gammas are not identified, so
-    # the information is singular however its null eigenvalues round.
+    # the fit is refused, whatever the durations, before any Newton step.
     catalog = generate(
         SimSpec(GPaParams(0.65, 0.7), n=60, censoring="random_fraction",
                 fraction=0.1, seed=seed)
     )
-    r = fit_regression(_with_silica(catalog, [58.0] * catalog.n))
-    assert r.converged is False
-    assert r.standard_errors is None
-    assert any("standard errors undefined" in note for note in r.notes)
+    with pytest.raises(ValueError, match="every record has silica_pct 58$"):
+        fit_regression(_with_silica(catalog, [58.0] * catalog.n))
 
 
 def test_both_fits_share_the_search_box():

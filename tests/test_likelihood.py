@@ -97,12 +97,13 @@ def test_regression_reduces_to_aggregate(silica_catalog):
     )
 
 
-def test_regression_single_record():
-    cat = make_catalog([(1.0, False, 61.0)])
+def test_regression_two_records():
+    cat = make_catalog([(1.0, False, 61.0), (1.0, False, 60.0)])
     kernel = model_kernel("regression", cat)
-    # x=61 doubles beta; alpha unchanged: 2 log(1.5) + log 2
+    # x=61 doubles beta, x=60 keeps it; alpha unchanged:
+    # 2 log(1.5) + log 2, then 2 log 2
     assert kernel.nllh(1.0, 1.0, 0.0, math.log(2)) == pytest.approx(
-        2 * math.log(1.5) + math.log(2), rel=1e-12
+        2 * math.log(1.5) + 3 * math.log(2), rel=1e-12
     )
 
 
@@ -112,16 +113,17 @@ def test_regression_missing_silica_named():
         model_kernel("regression", cat)
 
 
-def test_regression_matches_single_class_grouped(silica_catalog):
-    # with zero gammas and a single-class catalog the regression kernel is
-    # exactly the grouped per-class likelihood (the aggregate on the class)
+def test_regression_refuses_one_silica_value(silica_catalog):
+    # One silica value leaves the silica coefficients unidentified: a single
+    # class of the fixture (all at 58 percent) and a single record.
     from domecast.catalog import CompositionClass
 
     sub = silica_catalog.filter_class(CompositionClass.INTERMEDIATE)
-    p = GPaParams(0.55, 0.9)
-    assert model_kernel("regression", sub).nllh(0.55, 0.9, 0.0, 0.0) == (
-        pytest.approx(nllh_aggregate(sub, p), rel=1e-12)
-    )
+    for cat, value in ((sub, "58"), (make_catalog([(1.0, False, 61.5)]), "61.5")):
+        message = f"two distinct silica values; every record has silica_pct {value}$"
+        with pytest.raises(ValueError, match=message):
+            model_kernel("regression", cat)
+        assert model_kernel("aggregate", cat).n1 == cat.n1
 
 
 def test_profile_alpha_regression_examples(silica_catalog):
@@ -130,9 +132,10 @@ def test_profile_alpha_regression_examples(silica_catalog):
     assert regression.profile(0.8, 0.0, 0.0)[0] == pytest.approx(
         aggregate.profile(0.8)[0], rel=1e-14
     )
-    cat = make_catalog([(2.0, False, 60.0)])
+    # dx = 0: w = 1, b = 2; dx = 1: w = e^0.3, b = 2 e^-0.2.
+    cat = make_catalog([(2.0, False, 60.0), (2.0, False, 61.0)])
     assert model_kernel("regression", cat).profile(2.0, 0.3, -0.2)[0] == pytest.approx(
-        1 / math.log(2), rel=1e-14
+        2 / (math.log(2) + math.exp(0.3) * math.log1p(math.exp(0.2))), rel=1e-14
     )
 
 

@@ -1,18 +1,20 @@
 """Invariants of the likelihoods and fits under time rescaling and
-record order."""
+record order, and of the sampler's walk and the forecast bands against
+their references."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_walks_match, make_catalog
 from domecast.bayes import PriorSpec
 from domecast.catalog import Catalog
 from domecast.fit import fit_aggregate, fit_regression
+from domecast.forecast import BAND_LEVEL, _sorted_row_quantiles
 from domecast.likelihood import (
     RegressionParams,
     _Kernel,
@@ -130,7 +132,8 @@ def test_regression_nllh_never_above_aggregate(n, gammas, fraction, seed):
             seed=seed,
         )
     )
-    assume(catalog.n1 >= 4)
+    # A regression fit needs two distinct silica values.
+    assume(catalog.n1 >= 4 and np.unique(catalog.silica).size >= 2)
     agg, reg = fit_aggregate(catalog), fit_regression(catalog)
     assert reg.nllh_at_mle <= agg.nllh_at_mle + 1e-9 * abs(agg.nllh_at_mle)
 
@@ -214,9 +217,37 @@ def test_walk_matches_reference_walk(n, catalog_seed, walk_seed, rows, thin, sca
             seed=catalog_seed,
         )
     )
-    assume(catalog.n1 >= 2)
+    # A regression kernel needs two distinct silica values.
+    assume(catalog.n1 >= 2 and np.unique(catalog.silica).size >= 2)
     y0 = math.log(float(np.median(catalog.duration)))
     for kind, start in (("aggregate", [y0]), ("regression", [y0, 0.0, 0.0])):
         chol = scale * np.eye(len(start))
         kernel = model_kernel(kind, catalog)
         assert_walks_match(kernel, PriorSpec(), start, chol, walk_seed, rows, thin)
+
+
+@SETTINGS
+@given(
+    draws=st.integers(1, 400),
+    rows=st.integers(1, 20),
+    pool=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    with_nan=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 3 draws: gamma 0.1 at the low quantile (a + diff gamma) and 0.9 at the
+# high one (b - diff (1 - gamma)).  11 draws: gamma exactly 0.5 at the high
+# quantile, between 0.3 and 0.9, where the two forms differ in the last bit.
+@example(draws=3, rows=1, pool=[0.1, 0.7, 0.3], with_nan=False, seed=0)
+@example(draws=11, rows=1, pool=[0.3] * 10 + [0.9], with_nan=False, seed=0)
+@example(draws=2, rows=2, pool=[0.5, 0.2], with_nan=True, seed=0)
+def test_band_from_sorted_rows_is_numpys_quantile(draws, rows, pool, with_nan, seed):
+    # Each row holds the pool's few values repeated, so rows hold ties, in an
+    # order of its own; NaN sorts last and makes its row's quantiles NaN.
+    pool = pool + [math.nan] * with_nan
+    values = np.random.default_rng(seed).permuted(
+        np.resize(pool, (rows, draws)), axis=1
+    )
+    lo_q = (1 - BAND_LEVEL) / 2
+    want = np.quantile(values, [lo_q, 1 - lo_q], axis=1)
+    got = _sorted_row_quantiles(np.sort(values, axis=1), (lo_q, 1 - lo_q))
+    assert got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -8,6 +9,7 @@ from domecast.catalog import parse_catalog, serialize_catalog
 from domecast.fit import fit_aggregate
 from domecast.likelihood import RegressionParams
 from domecast.pareto import ExpParams, GPaParams
+import domecast.simulate
 from domecast.simulate import SimSpec, generate, recovery_study
 
 
@@ -123,6 +125,20 @@ def test_recovery_study_exponential():
     assert rep.failures == 0
     assert abs(rep.bias["lambda"]) < 0.02
     assert rep.rmse["lambda"] < 0.1
+
+
+def test_recovery_counts_a_one_silica_replication_as_a_failure(monkeypatch):
+    # The regression model refuses records that share one silica value; in a
+    # recovery study that replication fails, and the study goes on.
+    def one_silica(spec, rng):
+        cat = generate(spec, rng)
+        return dataclasses.replace(cat, silica=np.full(cat.n, 60.0))
+
+    monkeypatch.setattr(domecast.simulate, "generate", one_silica)
+    spec = SimSpec(RegressionParams(0.65, 0.7, 0.05, 0.1), n=50, seed=3)
+    rep = recovery_study(spec, 10)
+    assert rep.failures == 10
+    assert rep.bias == dict.fromkeys(rep.bias, None)
 
 
 def test_recovery_study_needs_replications():
